@@ -1,10 +1,11 @@
 //! Criterion microbench: the Lloyd assignment/recalculation core — the
 //! inner loop all experiments stand on. Measures one bounded run over cell
-//! sizes and the serial vs rayon-parallel assignment path.
+//! sizes for the default (bound-skipping fused) kernel against the scalar
+//! oracle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pmkm_core::seeding::{rng_for, seed_centroids};
-use pmkm_core::{lloyd, Dataset, LloydConfig, SeedMode};
+use pmkm_core::{lloyd, Dataset, KernelKind, LloydConfig, SeedMode};
 use pmkm_data::CellConfig;
 
 fn make_cell(n: usize) -> Dataset {
@@ -20,12 +21,12 @@ fn bench_lloyd(c: &mut Criterion) {
         // data-dependent convergence length.
         let cfg = LloydConfig { max_iters: 5, epsilon: 0.0, ..LloydConfig::default() };
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("serial_5iters_k40", n), &cell, |b, cell| {
+        group.bench_with_input(BenchmarkId::new("fused_5iters_k40", n), &cell, |b, cell| {
             b.iter(|| lloyd::lloyd(cell, &init, &cfg).unwrap())
         });
-        let par = LloydConfig { parallel_assign: true, ..cfg };
-        group.bench_with_input(BenchmarkId::new("parallel_5iters_k40", n), &cell, |b, cell| {
-            b.iter(|| lloyd::lloyd(cell, &init, &par).unwrap())
+        let scalar = LloydConfig { kernel: KernelKind::Scalar, ..cfg };
+        group.bench_with_input(BenchmarkId::new("scalar_5iters_k40", n), &cell, |b, cell| {
+            b.iter(|| lloyd::lloyd(cell, &init, &scalar).unwrap())
         });
     }
     group.finish();

@@ -290,8 +290,15 @@ fn inspect_ledger<W: Write>(
         .map_err(run_err)?;
     }
     for k in &roll.kernels {
-        writeln!(out, "  [kernel] {}: {} dispatches, {} points", k.kind, k.runs, k.points)
-            .map_err(run_err)?;
+        writeln!(
+            out,
+            "  [kernel] {}: {} dispatches, {} points, {:.1}% screens skipped by bounds",
+            k.kind,
+            k.runs,
+            k.points,
+            100.0 * k.skip_rate()
+        )
+        .map_err(run_err)?;
     }
     for f in &roll.fault_timeline {
         writeln!(out, "  [fault +{} µs] {} {}", f.ts_us, f.kind, f.detail).map_err(run_err)?;
@@ -2022,6 +2029,10 @@ mod tests {
         let out = run("inspect", &[format!("--timeline={trace_path}"), ledger.clone()]).unwrap();
         assert!(out.contains("[workers]"), "{out}");
         assert!(out.contains("[gantt"), "{out}");
+        assert!(
+            out.contains("[kernel] fused:") && out.contains("screens skipped by bounds"),
+            "{out}"
+        );
         assert!(out.contains("wrote Chrome trace"), "{out}");
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\":["), "{trace}");

@@ -30,10 +30,13 @@ pub enum KernelKind {
     /// The naive AoS scalar scan ([`crate::point::nearest_centroid`]) —
     /// the paper's §4 prototype behaviour, kept for timing mirrors.
     Scalar,
-    /// The fused, cache-blocked SoA kernel ([`crate::kernel::FusedLayout`]):
-    /// `‖x−c‖²` via the norm expansion over 8-lane centroid blocks, with an
-    /// exact rescue pass, and the weighted accumulator updates fused into
-    /// the same per-point loop.
+    /// The fused SoA kernel ([`crate::kernel::FusedLayout`]): `‖x−c‖²`
+    /// screened via the norm expansion over coordinate-major centroid
+    /// planes, tracking each lane's best and runner-up, with an exact
+    /// rescue pass only when the runner-up is within the error window.
+    /// Lloyd keeps per-point bounds that skip the screen when the previous
+    /// assignment provably holds, and fuses the weighted accumulator
+    /// updates into the same per-point loop.
     Fused,
 }
 
@@ -66,11 +69,11 @@ pub struct LloydConfig {
     pub epsilon: f64,
     /// Hard iteration cap (safety valve; `converged == false` when hit).
     pub max_iters: usize,
-    /// Use rayon to parallelize the assignment step within one run.
-    ///
-    /// Off by default: the paper parallelizes by *cloning operators across
-    /// chunks*, not within a run, and the experiment harnesses keep this off
-    /// so per-run timings mirror the paper's single-threaded operators.
+    /// Historical flag that ran the assignment step through a rayon
+    /// branch. Now a no-op: that branch ran sequentially and swapped the
+    /// fused kernel for the scalar scan, and parallelism lives in the
+    /// stream engine (one cloned operator per chunk, as in the paper).
+    /// Kept only so persisted configs keep loading.
     pub parallel_assign: bool,
     /// Historical flag that selected the (since removed) pruned scalar
     /// scan. Now a no-op: every kernel is exact, so configs that set it

@@ -8,7 +8,8 @@
 //!   importance sampling (the "lightweight coreset" distribution: half
 //!   uniform-by-mass, half proportional to squared distance from the
 //!   weighted mean), then re-weights each sampled representative with the
-//!   total mass of the input points nearest to it. Because every input
+//!   total mass of the input points nearest to it (found by the fused
+//!   kernel, [`crate::kernel::FusedLayout`]). Because every input
 //!   weight lands in exactly one representative, integer input masses are
 //!   conserved *exactly* at every level.
 //! * [`CoresetTree`] keeps the per-chunk coresets in a binary-counter
@@ -37,6 +38,7 @@
 use crate::config::KMeansConfig;
 use crate::dataset::{PointSource, WeightedSet};
 use crate::error::{Error, Result};
+use crate::kernel::FusedLayout;
 use crate::merge::{merge_collective_observed, MergeOutput};
 use crate::point::sq_dist;
 use crate::seeding::{derive_seed, rng_for};
@@ -170,20 +172,19 @@ pub fn chunk_coreset<S: PointSource + ?Sized>(
     }
     let reps: Vec<usize> = chosen.into_iter().collect();
 
-    // Nearest-representative mass aggregation. Strict `<` keeps the first
-    // (lowest-index) representative on ties, which makes the assignment —
-    // and therefore the weights — deterministic.
+    // Nearest-representative mass aggregation on the fused kernel, which
+    // is bit-identical to the scalar scan: ties go to the first
+    // (lowest-index) representative, which makes the assignment — and
+    // therefore the weights — deterministic.
+    let mut table = Vec::with_capacity(reps.len() * dim);
+    for &r in &reps {
+        table.extend_from_slice(src.coords(r));
+    }
+    let layout = FusedLayout::new(&table, dim);
+    let mut screen = vec![0.0f64; layout.scratch_len()];
     let mut agg = vec![0.0f64; reps.len()];
     for i in 0..n {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (j, &r) in reps.iter().enumerate() {
-            let d = sq_dist(src.coords(i), src.coords(r));
-            if d < best_d {
-                best_d = d;
-                best = j;
-            }
-        }
+        let (best, _) = layout.nearest(src.coords(i), &mut screen);
         agg[best] += src.weight(i);
     }
     for (j, &r) in reps.iter().enumerate() {

@@ -21,7 +21,7 @@
 //! `dim`-deep FMA dependency chain.) `‖c‖²` is computed once per layout
 //! (once per Lloyd iteration), `‖x‖²` once per point.
 //!
-//! ## Exactness: the rescue pass
+//! ## Exactness: the top-2 screen and the rescue pass
 //!
 //! The expansion is algebraically equal to the squared distance but not
 //! bit-equal in floating point, and a k-means assignment must not silently
@@ -31,25 +31,34 @@
 //! treats the expanded values as a *screen*, not an answer:
 //!
 //! 1. compute `approx_j = ‖x‖² − 2·x·c_j + ‖c_j‖²` for every centroid,
+//!    tracking per SIMD lane the best value, its index and the runner-up,
 //! 2. bound the worst-case disagreement between `approx_j` and the
 //!    scalar-computed `sq_dist(x, c_j)` by
 //!    `margin = 16 (dim + 4) ε (‖x‖² + max_j ‖c_j‖²)` — a standard
 //!    summation-error bound (each of the two computations errs by at most
 //!    `~(dim+2) ε` relative to magnitudes bounded by `‖x‖² + ‖c_j‖²`),
 //!    widened by a safety factor,
-//! 3. **rescue**: recompute the exact [`crate::point::sq_dist`] for every
+//! 3. if the runner-up lies more than `2·margin` above the best, the
+//!    screen's winner is provably the scalar's winner: return it with one
+//!    exact [`crate::point::sq_dist`],
+//! 4. otherwise **rescue**: recompute the exact distance for every
 //!    candidate within `2·margin` of the best screened value and pick the
-//!    winner among those by the scalar's own values and tie-break
-//!    (lowest index).
+//!    winner among those by the scalar's own values and tie-break (lowest
+//!    index).
 //!
-//! Any candidate outside the rescue window is strictly worse than the
-//! rescued winner under the scalar's arithmetic, so the returned index
-//! *and* the returned squared distance are bit-identical to
-//! [`crate::point::nearest_centroid`]. On real data the window almost
-//! never admits more than one candidate (the tallies are surfaced through
+//! Any candidate outside the window is strictly worse than the winner
+//! under the scalar's arithmetic, so the returned index *and* the returned
+//! squared distance are bit-identical to
+//! [`crate::point::nearest_centroid`]. On real data the runner-up almost
+//! always clears the window (the tallies are surfaced through
 //! [`KernelStats`] and the `pmkm-obs` recorder), so the exactness costs
 //! one `O(dim)` recomputation per point — noise against the `O(k · dim)`
-//! screen.
+//! screen — and no second pass over the screened values.
+//!
+//! The same margin yields a certified lower bound on the scalar distance
+//! to every *other* centroid (`runner_up − margin`), which
+//! [`FusedLayout::nearest_bounded`] returns for the Lloyd skip bounds
+//! (DESIGN.md §9).
 //!
 //! Ties and duplicate centroids are exact by construction: identical
 //! centroid coordinates produce identical `approx` values and identical
@@ -83,20 +92,30 @@ pub const LANES: usize = 8;
 /// window only costs a few extra exact recomputations.
 const MARGIN_SCALE: f64 = 16.0;
 
+/// Largest `‖x‖² + max_j ‖c_j‖²` at which the kernel certifies its lower
+/// bound. Below it every screened value is finite (`|2·x·c| ≤ ‖x‖² + ‖c‖²`,
+/// so `|approx| ≤ 2·scale`); above it the bound degrades to `0.0`.
+const MAX_CERTIFIED_SCALE: f64 = f64::MAX / 16.0;
+
 /// Work tallies of the fused kernel, reported through the observability
 /// recorder when one is attached to the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Points assigned through the fused path.
+    /// Points assigned through the fused path, including the ones whose
+    /// screen a Lloyd bound skipped.
     pub points: u64,
     /// Candidates whose exact distance was recomputed in the rescue pass
-    /// (at least one per point — the screened winner itself).
+    /// (at least one per screened point — the screened winner itself).
     pub rescued: u64,
+    /// Points whose screen was skipped because the Lloyd bounds proved the
+    /// previous assignment still holds (see [`crate::lloyd`]).
+    pub skipped: u64,
 }
 
 impl KernelStats {
-    /// Mean rescued candidates per point (`1.0` is the floor; values near
-    /// it mean the screen almost always decides alone).
+    /// Mean rescued candidates per assigned point. `1.0` is the floor for
+    /// screened points (values near it mean the screen almost always
+    /// decides alone); bound-skipped points rescue nothing.
     pub fn rescues_per_point(&self) -> f64 {
         if self.points == 0 {
             0.0
@@ -238,83 +257,91 @@ impl FusedLayout {
         scratch: &mut [f64],
         stats: &mut KernelStats,
     ) -> (usize, f64) {
+        let (j, d, _) = self.nearest_bounded(x, scratch, stats);
+        (j, d)
+    }
+
+    /// [`Self::nearest_counted`] plus a certified lower bound on the
+    /// scalar squared distance from `x` to every *other* centroid:
+    /// `sq_dist(x, c_j) ≥ lower` for every `j` but the returned index.
+    /// `lower` is `0.0` when it cannot be certified (magnitudes near
+    /// overflow, non-finite inputs) and `+inf` when `k == 1`.
+    #[inline]
+    pub fn nearest_bounded(
+        &self,
+        x: &[f64],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> (usize, f64, f64) {
         debug_assert_eq!(x.len(), self.dim);
         debug_assert!(scratch.len() >= self.k_pad);
         let approx = &mut scratch[..self.k_pad];
+        stats.points += 1;
 
         // --- Screen: ‖x‖² − 2·x·c + ‖c‖² for every centroid -----------
         let px2 = x.iter().map(|v| v * v).sum::<f64>();
-        let best_a = match self.isa {
-            ScreenIsa::Portable => self.screen_portable(x, px2, approx),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the variant is only constructed after
-            // `is_x86_feature_detected!` confirmed the features.
-            ScreenIsa::Avx2Fma => unsafe { self.screen_avx2(x, px2, approx) },
-            #[cfg(target_arch = "x86_64")]
-            ScreenIsa::Avx512 => unsafe { self.screen_avx512(x, px2, approx) },
-        };
+        let top = self.screen(x, px2, approx);
 
-        // --- Rescue: exact distances within the error window ----------
-        // Both the screen and the scalar sum err by at most
-        // ~(dim + 2)·ε relative to ‖x‖² + ‖c‖², so 2·margin separates
+        // Both the screen and the scalar sum err by at most ~(dim + 2)·ε
+        // relative to ‖x‖² + ‖c‖², so `margin` bounds the gap between a
+        // screened value and the scalar `sq_dist`, and 2·margin separates
         // "provably worse under scalar arithmetic" from "must check".
-        let margin =
-            MARGIN_SCALE * (self.dim as f64 + 4.0) * f64::EPSILON * (px2 + self.max_cnorm2);
-        let window = best_a + 2.0 * margin;
+        let scale = px2 + self.max_cnorm2;
+        let margin = MARGIN_SCALE * (self.dim as f64 + 4.0) * f64::EPSILON * scale;
+        let window = top.best + 2.0 * margin;
+        // Below this scale every screened value is finite, so `approx − margin`
+        // really bounds the scalar distance from below (false for NaN).
+        let certified = scale < MAX_CERTIFIED_SCALE;
+
+        // --- Decided by the screen: the runner-up is outside the window,
+        // so the winner is the window's only candidate. ------------------
+        if top.runner_up > window && top.index < self.k {
+            let j = top.index;
+            let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
+            stats.rescued += 1;
+            if d < f64::INFINITY {
+                let lower = if certified { top.runner_up - margin } else { 0.0 };
+                return (j, d, lower);
+            }
+            return self.exact_scan(x, stats);
+        }
+
+        // --- Rescue: exact distances for every candidate in the window ---
         let mut win = usize::MAX;
         let mut win_d = f64::INFINITY;
-        // A scalar `a <= window` sweep over k candidates costs more than
-        // the vectorized screen itself, so the SIMD paths compress the
-        // window test into a compare-mask pass first. Candidate indices
-        // come out ascending either way, preserving the tie-break.
-        let mut candidates = [0u32; MAX_WINDOW_CANDIDATES];
-        let found = match self.isa {
-            ScreenIsa::Portable => None,
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: variant constructed only after feature detection.
-            ScreenIsa::Avx2Fma => unsafe { collect_window_avx2(approx, window, &mut candidates) },
-            #[cfg(target_arch = "x86_64")]
-            ScreenIsa::Avx512 => unsafe { collect_window_avx512(approx, window, &mut candidates) },
-        };
-        match found {
-            Some(count) => {
-                // Padding lanes can slip into the mask when the window
-                // overflowed to +inf; they are not real candidates.
-                for &j in candidates[..count].iter().filter(|&&j| (j as usize) < self.k) {
-                    let j = j as usize;
-                    let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
-                    stats.rescued += 1;
-                    if d < win_d {
-                        win_d = d;
-                        win = j;
-                    }
-                }
-            }
-            // Portable path, or more window candidates than the fixed
-            // buffer holds (degenerate near-ties): plain scalar sweep.
-            None => {
-                for (j, &a) in approx[..self.k].iter().enumerate() {
-                    if a <= window {
-                        let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
-                        stats.rescued += 1;
-                        if d < win_d {
-                            win_d = d;
-                            win = j;
-                        }
-                    }
-                }
+        // Smallest exact distance among the rescued non-winners.
+        let mut second_d = f64::INFINITY;
+        // Ascending `j` preserves the scalar tie-break. Padding lanes can
+        // enter an overflowed (+inf) window, so only real centroids count.
+        for j in (0..self.k).filter(|&j| approx[j] <= window) {
+            let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
+            stats.rescued += 1;
+            if d < win_d {
+                second_d = win_d;
+                win_d = d;
+                win = j;
+            } else if d < second_d {
+                second_d = d;
             }
         }
-        stats.points += 1;
         if win == usize::MAX {
             // Unreachable with finite inputs (the screen winner is always
             // inside the window), but an overflowed screen (inf/NaN approx
             // values) must degrade to the exact scan, never to a bogus index.
-            let (j, d) = crate::point::nearest_centroid(x, &self.aos, self.dim);
-            stats.rescued += self.k as u64;
-            return (j, d);
+            return self.exact_scan(x, stats);
         }
-        (win, win_d)
+        // Centroids outside the window screened above it, so their scalar
+        // distance exceeds `window − margin`.
+        let lower = if certified { second_d.min(window - margin) } else { 0.0 };
+        (win, win_d, lower)
+    }
+
+    /// The exact scalar scan, for inputs whose screen overflowed. Its
+    /// bound is uncertified.
+    fn exact_scan(&self, x: &[f64], stats: &mut KernelStats) -> (usize, f64, f64) {
+        stats.rescued += self.k as u64;
+        let (j, d) = crate::point::nearest_centroid(x, &self.aos, self.dim);
+        (j, d, 0.0)
     }
 
     /// Screen sweep alone (no rescue): fills `scratch` with the expanded
@@ -324,11 +351,17 @@ impl FusedLayout {
     #[inline]
     pub fn screen_only(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
         let px2 = x.iter().map(|v| v * v).sum::<f64>();
-        let approx = &mut scratch[..self.k_pad];
+        self.screen(x, px2, &mut scratch[..self.k_pad]).best
+    }
+
+    /// Dispatches the screen sweep to the detected instruction set.
+    #[inline]
+    fn screen(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> Top2 {
         match self.isa {
             ScreenIsa::Portable => self.screen_portable(x, px2, approx),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: variant constructed only after feature detection.
+            // SAFETY: the variant is only constructed after
+            // `is_x86_feature_detected!` confirmed the features.
             ScreenIsa::Avx2Fma => unsafe { self.screen_avx2(x, px2, approx) },
             #[cfg(target_arch = "x86_64")]
             ScreenIsa::Avx512 => unsafe { self.screen_avx512(x, px2, approx) },
@@ -339,9 +372,8 @@ impl FusedLayout {
     /// plane (ascending `d`) into `approx` — one broadcast of `x[d]` per
     /// plane, then a contiguous mul-add sweep whose lanes are independent
     /// accumulator chains — after which a second sweep finalizes the
-    /// expansion in place and folds the running minimum in lane-wise.
-    /// Returns the minimum screened value.
-    fn screen_portable(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
+    /// expansion in place and folds each lane's top two in.
+    fn screen_portable(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> Top2 {
         approx.fill(0.0);
         for (d, &xd) in x.iter().enumerate() {
             let plane = &self.planes[d * self.k_pad..(d + 1) * self.k_pad];
@@ -349,36 +381,49 @@ impl FusedLayout {
                 *a += xd * p;
             }
         }
-        // Eight independent lane minima reduce once at the end: a serial
-        // k-deep min chain over the finished buffer costs more than the
-        // screen itself.
-        let mut mins = [f64::INFINITY; LANES];
-        for (out, cn) in approx.chunks_exact_mut(LANES).zip(self.cnorm2.chunks_exact(LANES)) {
+        // Eight independent lane tallies reduce once at the end: a serial
+        // k-deep chain over the finished buffer costs more than the screen.
+        let mut best = [f64::INFINITY; LANES];
+        let mut index = [f64::MAX; LANES];
+        let mut second = [f64::INFINITY; LANES];
+        let blocks = approx.chunks_exact_mut(LANES).zip(self.cnorm2.chunks_exact(LANES));
+        for (b, (out, cn)) in blocks.enumerate() {
             let out: &mut [f64; LANES] = out.try_into().expect("approx block");
             let cn: &[f64; LANES] = cn.try_into().expect("cnorm2 block");
             for l in 0..LANES {
                 out[l] = px2 - 2.0 * out[l] + cn[l];
             }
             for l in 0..LANES {
-                // Select form (not f64::min) so NaN keeps the old minimum
-                // and the loop lowers to a plain vector compare + blend.
-                mins[l] = if out[l] < mins[l] { out[l] } else { mins[l] };
+                // Select form with ordered `<`: NaN never enters a tally,
+                // and the loop lowers to vector compares + blends.
+                let v = out[l];
+                let lt = v < best[l];
+                second[l] = if lt {
+                    best[l]
+                } else if v < second[l] {
+                    v
+                } else {
+                    second[l]
+                };
+                index[l] = if lt { (b * LANES + l) as f64 } else { index[l] };
+                best[l] = if lt { v } else { best[l] };
             }
         }
-        reduce_min8(&mins)
+        reduce_top2(&best, &index, &second)
     }
 
     /// AVX-512 screen sweep: panels of 32 centroids (four `__m512d`
     /// accumulators, so the `dim`-deep FMA chains of four vectors
     /// interleave instead of serializing) with an 8-wide tail; `x[d]`
-    /// broadcast once per plane per panel.
+    /// broadcast once per plane per panel. Each lane keeps its best value,
+    /// the best's index and its runner-up in registers.
     ///
     /// # Safety
     ///
     /// Requires the `avx512f` CPU feature.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn screen_avx512(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
+    unsafe fn screen_avx512(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> Top2 {
         use std::arch::x86_64::*;
         let pl = self.planes.as_ptr();
         let cn = self.cnorm2.as_ptr();
@@ -386,9 +431,27 @@ impl FusedLayout {
         let k_pad = self.k_pad;
         let two = _mm512_set1_pd(2.0);
         let px2v = _mm512_set1_pd(px2);
-        // vminpd returns its *second* operand when either is NaN, so
-        // `min(fresh, mins)` keeps the running minimum NaN-free.
-        let mut mins = _mm512_set1_pd(f64::INFINITY);
+        let lane = _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+        let mut best = _mm512_set1_pd(f64::INFINITY);
+        let mut second = _mm512_set1_pd(f64::INFINITY);
+        let mut index = _mm512_set1_pd(f64::MAX);
+        // Finalize `out = (px2 − 2·dot) + cn` (the portable association),
+        // store it, and fold it into the lane tallies. LT_OQ is false for
+        // NaN, and vminpd returns its second operand when either is NaN, so
+        // a NaN never enters a tally.
+        macro_rules! fold {
+            ($acc:expr, $j:expr) => {{
+                let j = $j;
+                let t =
+                    _mm512_add_pd(_mm512_fnmadd_pd(two, $acc, px2v), _mm512_loadu_pd(cn.add(j)));
+                _mm512_storeu_pd(out.add(j), t);
+                let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(t, best);
+                second = _mm512_mask_blend_pd(lt, _mm512_min_pd(t, second), best);
+                best = _mm512_mask_blend_pd(lt, best, t);
+                let jv = _mm512_add_pd(lane, _mm512_set1_pd(j as f64));
+                index = _mm512_mask_blend_pd(lt, index, jv);
+            }};
+        }
         let mut jb = 0usize;
         while jb + 32 <= k_pad {
             let mut a0 = _mm512_setzero_pd();
@@ -403,23 +466,10 @@ impl FusedLayout {
                 a2 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base.add(16)), a2);
                 a3 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base.add(24)), a3);
             }
-            // out = (px2 − 2·dot) + cn, same association as the portable
-            // sweep.
-            let t0 = _mm512_add_pd(_mm512_fnmadd_pd(two, a0, px2v), _mm512_loadu_pd(cn.add(jb)));
-            let t1 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a1, px2v), _mm512_loadu_pd(cn.add(jb + 8)));
-            let t2 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a2, px2v), _mm512_loadu_pd(cn.add(jb + 16)));
-            let t3 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a3, px2v), _mm512_loadu_pd(cn.add(jb + 24)));
-            _mm512_storeu_pd(out.add(jb), t0);
-            _mm512_storeu_pd(out.add(jb + 8), t1);
-            _mm512_storeu_pd(out.add(jb + 16), t2);
-            _mm512_storeu_pd(out.add(jb + 24), t3);
-            mins = _mm512_min_pd(t0, mins);
-            mins = _mm512_min_pd(t1, mins);
-            mins = _mm512_min_pd(t2, mins);
-            mins = _mm512_min_pd(t3, mins);
+            fold!(a0, jb);
+            fold!(a1, jb + 8);
+            fold!(a2, jb + 16);
+            fold!(a3, jb + 24);
             jb += 32;
         }
         while jb < k_pad {
@@ -428,14 +478,23 @@ impl FusedLayout {
                 let v = _mm512_set1_pd(xd);
                 a0 = _mm512_fmadd_pd(v, _mm512_loadu_pd(pl.add(d * k_pad + jb)), a0);
             }
-            let t0 = _mm512_add_pd(_mm512_fnmadd_pd(two, a0, px2v), _mm512_loadu_pd(cn.add(jb)));
-            _mm512_storeu_pd(out.add(jb), t0);
-            mins = _mm512_min_pd(t0, mins);
+            fold!(a0, jb);
             jb += 8;
         }
-        let mut lanes = [0.0f64; LANES];
-        _mm512_storeu_pd(lanes.as_mut_ptr(), mins);
-        reduce_min8(&lanes)
+        // Reduce in registers: spilling the tallies for scalar reloads
+        // stalls on store forwarding and costs more than the sweep. Lanes
+        // hold no NaN, so the reductions need no NaN care.
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let m = _mm512_reduce_min_pd(best);
+        let at_min = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(best, _mm512_set1_pd(m));
+        let runner_up = if at_min.count_ones() > 1 {
+            m
+        } else {
+            _mm512_reduce_min_pd(_mm512_min_pd(_mm512_mask_blend_pd(at_min, best, inf), second))
+        };
+        let index =
+            _mm512_reduce_min_pd(_mm512_mask_blend_pd(at_min, _mm512_set1_pd(f64::MAX), index));
+        Top2 { best: m, index: index as usize, runner_up }
     }
 
     /// AVX2+FMA screen sweep: panels of 16 centroids (four `__m256d`
@@ -447,7 +506,7 @@ impl FusedLayout {
     /// Requires the `avx2` and `fma` CPU features.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn screen_avx2(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
+    unsafe fn screen_avx2(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> Top2 {
         use std::arch::x86_64::*;
         let pl = self.planes.as_ptr();
         let cn = self.cnorm2.as_ptr();
@@ -455,7 +514,23 @@ impl FusedLayout {
         let k_pad = self.k_pad;
         let two = _mm256_set1_pd(2.0);
         let px2v = _mm256_set1_pd(px2);
-        let mut mins = _mm256_set1_pd(f64::INFINITY);
+        let lane = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        let mut best = _mm256_set1_pd(f64::INFINITY);
+        let mut second = _mm256_set1_pd(f64::INFINITY);
+        let mut index = _mm256_set1_pd(f64::MAX);
+        macro_rules! fold {
+            ($acc:expr, $j:expr) => {{
+                let j = $j;
+                let t =
+                    _mm256_add_pd(_mm256_fnmadd_pd(two, $acc, px2v), _mm256_loadu_pd(cn.add(j)));
+                _mm256_storeu_pd(out.add(j), t);
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(t, best);
+                second = _mm256_blendv_pd(_mm256_min_pd(t, second), best, lt);
+                best = _mm256_blendv_pd(best, t, lt);
+                let jv = _mm256_add_pd(lane, _mm256_set1_pd(j as f64));
+                index = _mm256_blendv_pd(index, jv, lt);
+            }};
+        }
         let mut jb = 0usize;
         while jb + 16 <= k_pad {
             let mut a0 = _mm256_setzero_pd();
@@ -470,21 +545,10 @@ impl FusedLayout {
                 a2 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base.add(8)), a2);
                 a3 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base.add(12)), a3);
             }
-            let t0 = _mm256_add_pd(_mm256_fnmadd_pd(two, a0, px2v), _mm256_loadu_pd(cn.add(jb)));
-            let t1 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a1, px2v), _mm256_loadu_pd(cn.add(jb + 4)));
-            let t2 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a2, px2v), _mm256_loadu_pd(cn.add(jb + 8)));
-            let t3 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a3, px2v), _mm256_loadu_pd(cn.add(jb + 12)));
-            _mm256_storeu_pd(out.add(jb), t0);
-            _mm256_storeu_pd(out.add(jb + 4), t1);
-            _mm256_storeu_pd(out.add(jb + 8), t2);
-            _mm256_storeu_pd(out.add(jb + 12), t3);
-            mins = _mm256_min_pd(t0, mins);
-            mins = _mm256_min_pd(t1, mins);
-            mins = _mm256_min_pd(t2, mins);
-            mins = _mm256_min_pd(t3, mins);
+            fold!(a0, jb);
+            fold!(a1, jb + 4);
+            fold!(a2, jb + 8);
+            fold!(a3, jb + 12);
             jb += 16;
         }
         while jb < k_pad {
@@ -493,113 +557,61 @@ impl FusedLayout {
                 let v = _mm256_set1_pd(xd);
                 a0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(pl.add(d * k_pad + jb)), a0);
             }
-            let t0 = _mm256_add_pd(_mm256_fnmadd_pd(two, a0, px2v), _mm256_loadu_pd(cn.add(jb)));
-            _mm256_storeu_pd(out.add(jb), t0);
-            mins = _mm256_min_pd(t0, mins);
+            fold!(a0, jb);
             jb += 4;
         }
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), mins);
-        let m01 = if lanes[1] < lanes[0] { lanes[1] } else { lanes[0] };
-        let m23 = if lanes[3] < lanes[2] { lanes[3] } else { lanes[2] };
-        if m23 < m01 {
-            m23
+        // Reduce in registers, as in the AVX-512 sweep. `hmin` leaves the
+        // minimum of all four lanes in every lane.
+        let hmin = |v: __m256d| {
+            let v = _mm256_min_pd(v, _mm256_permute2f128_pd::<1>(v, v));
+            _mm256_min_pd(v, _mm256_permute_pd::<0b0101>(v))
+        };
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let mv = hmin(best);
+        let at_min = _mm256_cmp_pd::<_CMP_EQ_OQ>(best, mv);
+        let runner_up = if _mm256_movemask_pd(at_min).count_ones() > 1 {
+            mv
         } else {
-            m01
+            hmin(_mm256_min_pd(_mm256_blendv_pd(best, inf, at_min), second))
+        };
+        let index = hmin(_mm256_blendv_pd(_mm256_set1_pd(f64::MAX), index, at_min));
+        Top2 {
+            best: _mm256_cvtsd_f64(mv),
+            index: _mm256_cvtsd_f64(index) as usize,
+            runner_up: _mm256_cvtsd_f64(runner_up),
         }
     }
 }
 
-/// Capacity of the fixed rescue-candidate buffer the masked window scan
-/// fills. On real data the window admits one candidate; overflowing the
-/// buffer (pathological near-tie pile-ups) falls back to the scalar sweep.
-const MAX_WINDOW_CANDIDATES: usize = 64;
-
-/// Masked window scan, AVX-512: compare all screened values (including
-/// padding) against `window` eight at a time and collect qualifying
-/// indices in ascending order. Returns `None` when `out` would overflow.
-///
-/// # Safety
-///
-/// Requires the `avx512f` CPU feature; `approx.len()` must be a multiple
-/// of [`LANES`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn collect_window_avx512(
-    approx: &[f64],
-    window: f64,
-    out: &mut [u32; MAX_WINDOW_CANDIDATES],
-) -> Option<usize> {
-    use std::arch::x86_64::*;
-    let w = _mm512_set1_pd(window);
-    let p = approx.as_ptr();
-    let mut count = 0usize;
-    let mut jb = 0usize;
-    while jb < approx.len() {
-        // LE_OQ: NaN compares false, so poisoned lanes never qualify.
-        let mut m = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(_mm512_loadu_pd(p.add(jb)), w) as u32;
-        while m != 0 {
-            if count == MAX_WINDOW_CANDIDATES {
-                return None;
-            }
-            out[count] = jb as u32 + m.trailing_zeros();
-            count += 1;
-            m &= m - 1;
-        }
-        jb += 8;
-    }
-    Some(count)
+/// What the screen sweep found: the smallest screened value, its centroid
+/// index, and the smallest screened value over all *other* centroids
+/// (`+inf` when there are none). NaN values are never recorded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Top2 {
+    best: f64,
+    index: usize,
+    runner_up: f64,
 }
 
-/// Masked window scan, AVX2: same contract as
-/// [`collect_window_avx512`], four lanes at a time.
-///
-/// # Safety
-///
-/// Requires the `avx2` CPU feature; `approx.len()` must be a multiple of
-/// [`LANES`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn collect_window_avx2(
-    approx: &[f64],
-    window: f64,
-    out: &mut [u32; MAX_WINDOW_CANDIDATES],
-) -> Option<usize> {
-    use std::arch::x86_64::*;
-    let w = _mm256_set1_pd(window);
-    let p = approx.as_ptr();
-    let mut count = 0usize;
-    let mut jb = 0usize;
-    while jb < approx.len() {
-        let cmp = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(jb)), w);
-        let mut m = _mm256_movemask_pd(cmp) as u32;
-        while m != 0 {
-            if count == MAX_WINDOW_CANDIDATES {
-                return None;
-            }
-            out[count] = jb as u32 + m.trailing_zeros();
-            count += 1;
-            m &= m - 1;
+/// Folds per-lane `(best, index, runner-up)` tallies into the sweep's
+/// [`Top2`]. Lanes tied on their best value keep the lower index; such a
+/// tie also makes the runner-up equal the best, so the caller takes the
+/// exact rescue path anyway. An untouched lane's index is `f64::MAX`,
+/// which casts to `usize::MAX`.
+fn reduce_top2(best: &[f64], index: &[f64], second: &[f64]) -> Top2 {
+    let mut w = 0;
+    for l in 1..best.len() {
+        if best[l] < best[w] || (best[l] == best[w] && index[l] < index[w]) {
+            w = l;
         }
-        jb += 4;
     }
-    Some(count)
-}
-
-/// Tree-reduce eight lane minima with the NaN-keeps-old select form.
-#[inline]
-fn reduce_min8(mins: &[f64; LANES]) -> f64 {
-    let m01 = if mins[1] < mins[0] { mins[1] } else { mins[0] };
-    let m23 = if mins[3] < mins[2] { mins[3] } else { mins[2] };
-    let m45 = if mins[5] < mins[4] { mins[5] } else { mins[4] };
-    let m67 = if mins[7] < mins[6] { mins[7] } else { mins[6] };
-    let m0123 = if m23 < m01 { m23 } else { m01 };
-    let m4567 = if m67 < m45 { m67 } else { m45 };
-    if m4567 < m0123 {
-        m4567
-    } else {
-        m0123
+    let mut runner_up = second[w];
+    for (l, &b) in best.iter().enumerate() {
+        if l != w && b < runner_up {
+            runner_up = b;
+        }
     }
+    Top2 { best: best[w], index: index[w] as usize, runner_up }
 }
 
 #[cfg(test)]
@@ -675,23 +687,77 @@ mod tests {
         assert!(stats.rescues_per_point() >= 1.0);
     }
 
+    /// Every screen path this host can run, the portable one first.
+    fn host_isas() -> Vec<ScreenIsa> {
+        let mut isas = vec![ScreenIsa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                isas.push(ScreenIsa::Avx2Fma);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(ScreenIsa::Avx512);
+            }
+        }
+        isas
+    }
+
+    /// Each path's top-2 screen agrees with the screened values it stored
+    /// (best = the first minimum, runner-up = the minimum over every other
+    /// lane), every path returns the same nearest index and distance bits,
+    /// and every path's lower bound holds for every other centroid's
+    /// scalar distance. Duplicate centroids and centroid-valued queries
+    /// force exact ties into the mix.
     #[test]
     fn simd_and_portable_dispatch_agree() {
         let mut rng = rng_for(22, 0);
-        for _ in 0..200 {
+        for case in 0..400 {
             let dim = rng.gen_range(1usize..10);
             let k = rng.gen_range(1usize..70);
-            let cents: Vec<f64> = (0..k * dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-            let simd = FusedLayout::new(&cents, dim);
-            let mut portable = simd.clone();
-            portable.isa = ScreenIsa::Portable;
-            let mut s1 = vec![0.0; simd.scratch_len()];
-            let mut s2 = vec![0.0; simd.scratch_len()];
-            let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-            let a = simd.nearest(&x, &mut s1);
-            let b = portable.nearest(&x, &mut s2);
-            assert_eq!(a.0, b.0, "index ({}, dim={dim}, k={k})", simd.isa_label());
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "distance bits ({})", simd.isa_label());
+            let mut cents: Vec<f64> = (0..k * dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+            if case % 3 == 0 && k > 1 {
+                let (from, to) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                cents.copy_within(from * dim..(from + 1) * dim, to * dim);
+            }
+            let x: Vec<f64> = if case % 5 == 0 {
+                let j = rng.gen_range(0..k);
+                cents[j * dim..(j + 1) * dim].to_vec()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect()
+            };
+            let px2 = x.iter().map(|v| v * v).sum::<f64>();
+            let base = FusedLayout::new(&cents, dim);
+            let mut answers = Vec::new();
+            for isa in host_isas() {
+                let mut layout = base.clone();
+                layout.isa = isa;
+                let label = layout.isa_label();
+                let mut scratch = vec![0.0; layout.scratch_len()];
+                let top = layout.screen(&x, px2, &mut scratch);
+                let first_min = (0..scratch.len())
+                    .min_by(|&a, &b| scratch[a].partial_cmp(&scratch[b]).unwrap())
+                    .unwrap();
+                assert_eq!(top.index, first_min, "{label}: best index");
+                assert_eq!(top.best.to_bits(), scratch[first_min].to_bits(), "{label}: best");
+                let runner_up = (0..scratch.len())
+                    .filter(|&j| j != first_min)
+                    .map(|j| scratch[j])
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(top.runner_up.to_bits(), runner_up.to_bits(), "{label}: runner-up");
+
+                let mut stats = KernelStats::default();
+                let (j, d, lower) = layout.nearest_bounded(&x, &mut scratch, &mut stats);
+                for (o, c) in cents.chunks_exact(dim).enumerate().filter(|&(o, _)| o != j) {
+                    assert!(sq_dist(&x, c) >= lower, "{label}: bound {lower} fails centroid {o}");
+                }
+                answers.push((label, j, d.to_bits()));
+            }
+            let (_, j0, d0) = answers[0];
+            for &(label, j, d) in &answers[1..] {
+                assert_eq!((j, d), (j0, d0), "{label} vs portable (dim={dim}, k={k})");
+            }
         }
     }
 

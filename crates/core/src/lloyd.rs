@@ -14,14 +14,19 @@
 //! of squared point-to-assigned-centroid distances. A hard iteration cap
 //! protects against pathological inputs; hitting it is reported via
 //! [`LloydRun::converged`].
+//!
+//! The fused assignment keeps Hamerly-style bounds across iterations and
+//! skips the nearest-centroid screen of every point whose previous
+//! assignment they prove still holds. A skipped point's distance is still
+//! recomputed exactly, so every result field is bit-identical to the
+//! scalar scan's (DESIGN.md §9).
 
 use crate::config::{KernelKind, LloydConfig};
 use crate::dataset::{Centroids, PointSource};
 use crate::error::{Error, Result};
 use crate::kernel::{FusedLayout, KernelStats};
-use crate::point::nearest_centroid;
+use crate::point::{nearest_centroid, sq_dist};
 use pmkm_obs::Recorder;
-use rayon::prelude::*;
 
 /// Outcome of one converged (or capped) Lloyd run.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,8 +71,10 @@ struct Scratch {
     /// Per-cluster total weight.
     weights: Vec<f64>,
     /// Screened-distance buffer for the fused kernel (`k` padded to whole
-    /// SoA blocks), unused by the scalar paths.
+    /// SoA blocks), unused by the scalar path.
     screen: Vec<f64>,
+    /// Skip bounds of the fused path, unused by the scalar path.
+    bounds: Bounds,
 }
 
 impl Scratch {
@@ -78,6 +85,89 @@ impl Scratch {
             sums: vec![0.0; k * dim],
             weights: vec![0.0; k],
             screen: Vec::new(),
+            bounds: Bounds::new(n, k, dim),
+        }
+    }
+}
+
+/// Hamerly-style bounds that let the fused assignment skip the screen of
+/// a point whose assignment provably cannot change. They certify the
+/// *scalar* arithmetic: a skipped point gets exactly the index and squared
+/// distance the scalar scan would return (DESIGN.md §9).
+struct Bounds {
+    /// Per point: a lower bound on the (Euclidean, not squared) distance
+    /// to every centroid other than its current assignment. `0.0`
+    /// certifies nothing.
+    lower: Vec<f64>,
+    /// Per centroid: a quarter of the squared scalar distance to its
+    /// nearest other centroid (the squared half-separation).
+    half_sep2: Vec<f64>,
+    /// The centroid table before the latest update, to measure drift.
+    prev: Vec<f64>,
+    /// Work list of the points the bounds could not certify this pass.
+    todo: Vec<u32>,
+    /// Relative slack applied to every bound: it absorbs the rounding of
+    /// `sq_dist` (at most `(dim + 2)·ε` relative — all its terms are
+    /// non-negative), of `sqrt`, and of each operation on a bound.
+    slack: f64,
+}
+
+impl Bounds {
+    fn new(n: usize, k: usize, dim: usize) -> Self {
+        Self {
+            lower: vec![0.0; n],
+            half_sep2: vec![0.0; k],
+            prev: Vec::new(),
+            todo: vec![0; n],
+            slack: 1e-10f64.max(64.0 * (dim as f64 + 4.0) * f64::EPSILON),
+        }
+    }
+
+    /// Remembers the centroid table about to be updated.
+    fn snapshot(&mut self, cents: &[f64]) {
+        self.prev.clear();
+        self.prev.extend_from_slice(cents);
+    }
+
+    /// Recomputes the squared half-separations for the centroid table
+    /// `cents`. One that overflowed certifies nothing.
+    fn separate(&mut self, cents: &[f64], dim: usize) {
+        self.half_sep2.fill(f64::INFINITY);
+        for (a, ca) in cents.chunks_exact(dim).enumerate() {
+            for (b, cb) in cents.chunks_exact(dim).enumerate().skip(a + 1) {
+                let d = sq_dist(ca, cb);
+                self.half_sep2[a] = self.half_sep2[a].min(d);
+                self.half_sep2[b] = self.half_sep2[b].min(d);
+            }
+        }
+        for s in &mut self.half_sep2 {
+            *s = if *s < f64::INFINITY { 0.25 * *s } else { 0.0 };
+        }
+    }
+
+    /// Lowers every point's bound by the largest drift among the centroids
+    /// it is not assigned to: the distance to centroid `j` shrinks by at
+    /// most how far `j` moved from `prev` to `cents`.
+    fn drift(&mut self, cents: &[f64], dim: usize, assignments: &[u32]) {
+        let up = 1.0 + self.slack;
+        let (mut top, mut top_j, mut second) = (0.0f64, usize::MAX, 0.0f64);
+        for (j, (old, new)) in self.prev.chunks_exact(dim).zip(cents.chunks_exact(dim)).enumerate()
+        {
+            // A NaN drift (poisoned coordinates) must void every bound.
+            let d = sq_dist(old, new).sqrt() * up;
+            let d = if d >= 0.0 { d } else { f64::INFINITY };
+            if d > top {
+                (second, top, top_j) = (top, d, j);
+            } else if d > second {
+                second = d;
+            }
+        }
+        let down = 1.0 - self.slack;
+        for (l, &a) in self.lower.iter_mut().zip(assignments) {
+            let moved = if a as usize == top_j { second } else { top };
+            let v = (*l - moved) * down;
+            // Also maps ∞ − ∞ (NaN) to zero.
+            *l = if v > 0.0 { v } else { 0.0 };
         }
     }
 }
@@ -99,9 +189,9 @@ pub fn lloyd<S: PointSource + ?Sized>(
 
 /// [`lloyd`] with observability hooks: when `rec` is `Some`, every
 /// iteration emits a `lloyd.iteration` event (MSE, convergence delta,
-/// reassignment count) and the fused kernel tallies its rescue rate into
-/// the recorder's registry. `None` takes the exact same code path as
-/// [`lloyd`].
+/// reassignment count) and the fused kernel tallies its rescue and
+/// bound-skip counts into the recorder's registry. `None` takes the exact
+/// same code path as [`lloyd`].
 pub fn lloyd_observed<S: PointSource + ?Sized>(
     src: &S,
     init: &Centroids,
@@ -136,7 +226,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
     // Distance calculation against the initial seeds gives MSE(0).
     let mut prev_mse = {
         let _phase = rec.and_then(|r| r.phase("assign"));
-        assign(src, &centroids, cfg, kernel, &mut scratch, &mut kernel_stats) / total_weight
+        assign(src, &centroids, kernel, &mut scratch, &mut kernel_stats) / total_weight
     };
     let mut iterations = 0usize;
     let mut converged = false;
@@ -153,11 +243,18 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         // clusters re-seeded from the points farthest from their centroid.
         reseeds += {
             let _phase = rec.and_then(|r| r.phase("update"));
-            recompute_means(src, &mut centroids, &mut scratch)
+            if kernel == KernelKind::Fused {
+                scratch.bounds.snapshot(centroids.as_flat());
+            }
+            let reseeded = recompute_means(src, &mut centroids, &mut scratch);
+            if kernel == KernelKind::Fused {
+                scratch.bounds.drift(centroids.as_flat(), dim, &scratch.assignments);
+            }
+            reseeded
         };
         let mse = {
             let _phase = rec.and_then(|r| r.phase("assign"));
-            assign(src, &centroids, cfg, kernel, &mut scratch, &mut kernel_stats) / total_weight
+            assign(src, &centroids, kernel, &mut scratch, &mut kernel_stats) / total_weight
         };
         iterations += 1;
         let delta = prev_mse - mse;
@@ -195,6 +292,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         if kernel_stats.points > 0 {
             rec.registry().counter("kernel_fused_points_total").add(kernel_stats.points);
             rec.registry().counter("kernel_fused_rescued_total").add(kernel_stats.rescued);
+            rec.registry().counter("kernel_bound_skips_total").add(kernel_stats.skipped);
         }
         rec.event(
             "lloyd.kernel",
@@ -202,6 +300,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
                 ("kind", kernel.label().into()),
                 ("points", kernel_stats.points.into()),
                 ("rescued", kernel_stats.rescued.into()),
+                ("skipped", kernel_stats.skipped.into()),
                 ("rescues_per_point", kernel_stats.rescues_per_point().into()),
                 ("reseeds", reseeds.into()),
             ],
@@ -226,15 +325,15 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
 /// filling `scratch` (assignments, per-point d², per-cluster sums/weights)
 /// and returning the weighted SSE.
 ///
-/// Every strategy produces bit-identical contents of `scratch` (the fused
+/// Both strategies produce bit-identical contents of `scratch` (the fused
 /// kernel's rescue pass recomputes the winning distance with the scalar
-/// `sq_dist`, and the accumulation visits points in the same order), so
+/// `sq_dist`, a bound-skipped point recomputes its assigned distance the
+/// same way, and the shared accumulation visits points in input order), so
 /// iteration counts, trajectories, and final centroids never depend on the
 /// kernel choice.
 fn assign<S: PointSource + ?Sized>(
     src: &S,
     centroids: &Centroids,
-    cfg: &LloydConfig,
     kernel: KernelKind,
     scratch: &mut Scratch,
     kernel_stats: &mut KernelStats,
@@ -243,42 +342,41 @@ fn assign<S: PointSource + ?Sized>(
     let cents = centroids.as_flat();
     let n = src.len();
 
-    if kernel == KernelKind::Fused && !(cfg.parallel_assign && n >= 2048) {
-        // Fused path: one pass over the points does the SoA screen, the
-        // exact rescue, and the weighted accumulator updates.
+    if kernel == KernelKind::Fused {
+        // Fused path. The bound test runs as its own branch-free pass that
+        // compacts the points it cannot certify into a work list: a
+        // per-point skip branch waits on the sq_dist chain and mispredicts
+        // often enough to cost as much as the screen it saves.
         let layout = FusedLayout::new(cents, dim);
         scratch.screen.resize(layout.scratch_len(), 0.0);
-        scratch.sums.fill(0.0);
-        scratch.weights.fill(0.0);
-        let mut wsse = 0.0;
+        let bounds = &mut scratch.bounds;
+        bounds.separate(cents, dim);
+        let down = 1.0 - bounds.slack;
+        let mut todo = 0usize;
         for i in 0..n {
-            let x = src.coords(i);
-            let (j, d2) = layout.nearest_counted(x, &mut scratch.screen, kernel_stats);
+            // Every other centroid is at least `lower` away, or at least
+            // `half_sep` when the point sits within `half_sep` of its
+            // centroid (Hamerly's test). Strict `<` after slack: every
+            // other scalar distance is then larger, so the scalar scan
+            // would pick `a` with exactly this `d2a`.
+            let a = scratch.assignments[i] as usize;
+            let d2a = sq_dist(src.coords(i), &cents[a * dim..(a + 1) * dim]);
+            let l = bounds.lower[i];
+            let skip = d2a < (l * l).max(bounds.half_sep2[a]) * down;
+            scratch.d2[i] = d2a;
+            bounds.todo[todo] = i as u32;
+            todo += usize::from(!skip);
+        }
+        kernel_stats.points += (n - todo) as u64;
+        kernel_stats.skipped += (n - todo) as u64;
+        for &i in &bounds.todo[..todo] {
+            let i = i as usize;
+            let (j, d2, lower) =
+                layout.nearest_bounded(src.coords(i), &mut scratch.screen, kernel_stats);
             scratch.assignments[i] = j as u32;
             scratch.d2[i] = d2;
-            let w = src.weight(i);
-            let sum = &mut scratch.sums[j * dim..(j + 1) * dim];
-            for (s, c) in sum.iter_mut().zip(x) {
-                *s += w * c;
-            }
-            scratch.weights[j] += w;
-            wsse += w * d2;
+            bounds.lower[i] = if lower > 0.0 { lower.sqrt() * down } else { 0.0 };
         }
-        return wsse;
-    }
-
-    // The rayon path always uses the stateless scalar search (the fused
-    // kernel wants a per-worker screen buffer); results are identical.
-    if cfg.parallel_assign && n >= 2048 {
-        // Hot O(n·k·dim) search in parallel; cheap O(n·dim) accumulation
-        // stays serial to avoid a k×dim-sized reduction per worker.
-        scratch.assignments.par_iter_mut().zip(scratch.d2.par_iter_mut()).enumerate().for_each(
-            |(i, (a, d))| {
-                let (j, d2) = nearest_centroid(src.coords(i), cents, dim);
-                *a = j as u32;
-                *d = d2;
-            },
-        );
     } else {
         for (i, (a, d)) in scratch.assignments.iter_mut().zip(scratch.d2.iter_mut()).enumerate() {
             let (j, d2) = nearest_centroid(src.coords(i), cents, dim);
@@ -502,6 +600,9 @@ mod tests {
         assert!(!run.converged);
     }
 
+    /// The legacy `parallel_assign` flag (whose rayon branch ran the
+    /// scalar search sequentially) is a pure no-op: configs that persist it
+    /// still load and still run the bounded fused kernel, bit for bit.
     #[test]
     fn parallel_and_serial_assignment_agree() {
         let mut ds = Dataset::new(3).unwrap();
@@ -518,7 +619,11 @@ mod tests {
         assert_eq!(serial.centroids, par.centroids);
         assert_eq!(serial.assignments, par.assignments);
         assert_eq!(serial.iterations, par.iterations);
-        assert!((serial.mse - par.mse).abs() < 1e-15);
+        assert_eq!(serial.mse_trajectory, par.mse_trajectory);
+        let scalar = LloydConfig { kernel: KernelKind::Scalar, ..LloydConfig::default() };
+        let oracle = lloyd(&ds, &init, &scalar).unwrap();
+        assert_eq!(oracle.centroids, par.centroids);
+        assert_eq!(oracle.assignments, par.assignments);
     }
 
     /// The legacy `pruned_assign` flag (whose kernel was removed) is a

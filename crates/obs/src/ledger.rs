@@ -342,6 +342,21 @@ pub struct KernelRollup {
     pub runs: u64,
     /// Point-assignments executed by this kernel.
     pub points: u64,
+    /// Point-assignments whose screen the Lloyd bounds skipped (absent
+    /// from ledgers written before the bounds existed).
+    #[serde(default)]
+    pub skipped: u64,
+}
+
+impl KernelRollup {
+    /// Share of point-assignments whose screen the bounds skipped.
+    pub fn skip_rate(&self) -> f64 {
+        if self.points == 0 {
+            0.0
+        } else {
+            self.skipped as f64 / self.points as f64
+        }
+    }
 }
 
 /// One checkpoint write, folded from `cell.checkpoint` records of an
@@ -659,13 +674,12 @@ pub fn rollup(records: &[LedgerRecord]) -> LedgerRollup {
             "watchdog.straggler" => out.watchdog_stragglers += 1,
             "lloyd.kernel" => {
                 let kind = r.str_field("kind").unwrap_or("unknown").to_string();
-                let entry = kernels.entry(kind.clone()).or_insert_with(|| KernelRollup {
-                    kind,
-                    runs: 0,
-                    points: 0,
-                });
+                let entry = kernels
+                    .entry(kind.clone())
+                    .or_insert_with(|| KernelRollup { kind, ..KernelRollup::default() });
                 entry.runs += 1;
                 entry.points += r.u64_field("points").unwrap_or(0);
+                entry.skipped += r.u64_field("skipped").unwrap_or(0);
             }
             "coreset.build" => {
                 out.coreset.builds += 1;
@@ -1167,6 +1181,7 @@ mod tests {
                 fields: vec![
                     ("kind".into(), FieldValue::Str("fused".into())),
                     ("points".into(), FieldValue::U64(500)),
+                    ("skipped".into(), FieldValue::U64(300)),
                 ],
             },
             LedgerRecord {
@@ -1181,6 +1196,9 @@ mod tests {
         assert_eq!(up.kernels.len(), 1);
         assert_eq!(up.kernels[0].runs, 2);
         assert_eq!(up.kernels[0].points, 1500);
+        // The first event predates the `skipped` field and counts as 0.
+        assert_eq!(up.kernels[0].skipped, 300);
+        assert_eq!(up.kernels[0].skip_rate(), 0.2);
     }
 
     fn phases(rows: &[(&str, u64)]) -> Vec<PhaseReport> {
@@ -1229,10 +1247,10 @@ mod tests {
     #[test]
     fn diff_reports_fault_and_kernel_changes() {
         let mut a = RunProfile { label: "a".into(), elapsed_us: 100, ..RunProfile::default() };
-        a.kernels = vec![KernelRollup { kind: "fused".into(), runs: 4, points: 100 }];
+        a.kernels = vec![KernelRollup { kind: "fused".into(), runs: 4, points: 100, skipped: 0 }];
         let mut b = RunProfile { label: "b".into(), elapsed_us: 104, ..RunProfile::default() };
         b.faults.worker_panics = 2;
-        b.kernels = vec![KernelRollup { kind: "scalar".into(), runs: 4, points: 100 }];
+        b.kernels = vec![KernelRollup { kind: "scalar".into(), runs: 4, points: 100, skipped: 0 }];
         let diff = diff_profiles(&a, &b, 0.10);
         assert!(!diff.regression);
         assert_eq!(diff.fault_deltas.len(), 1);

@@ -711,8 +711,12 @@ fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
             shared.set_state(w, WorkerState::Idle);
             return;
         }
-        // Own queue front-first; steal from the back of the others.
-        let task = shared.queues[w].lock().pop_front().or_else(|| {
+        // Own queue front-first; steal from the back of the others. The
+        // own-queue guard must drop before stealing: two workers that run
+        // dry together would otherwise each hold their own queue while
+        // locking the other's.
+        let own = shared.queues[w].lock().pop_front();
+        let task = own.or_else(|| {
             shared.set_state(w, WorkerState::Stealing);
             (1..jobs).find_map(|d| {
                 let victim = (w + d) % jobs;
@@ -1119,6 +1123,38 @@ mod tests {
         let planet = orchestrate(&plan, &OrchestratorOptions::new(2), None, None).unwrap();
         assert_eq!(planet.cells.len(), 3, "a cell starved");
         assert!(planet.steals >= 1, "expected at least one steal, got {}", planet.steals);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Workers that run dry together all steal at once; holding the own
+    /// queue's lock while locking a victim's used to deadlock them. Many
+    /// tiny-cell planets at 2–4 workers end in exactly that race.
+    #[test]
+    fn workers_running_dry_together_never_deadlock() {
+        const ROUNDS: usize = 600;
+        let dir = tmpdir("dry_steal");
+        let paths: Vec<PathBuf> = (1..=24).map(|i| write_cell(&dir, i, 6, 3)).collect();
+        let plan = mk_plan(&paths, 5);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached only while it might hang; joined once every round is in.
+        let runner = std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let jobs = 2 + round % 3;
+                // A timeline makes the steal-state transition do real work,
+                // which widens the race window.
+                let rec = Recorder::new().with_timeline(Arc::new(pmkm_obs::Timeline::new()));
+                let opts = OrchestratorOptions::new(jobs);
+                let planet = orchestrate(&plan, &opts, Some(Arc::new(rec)), None);
+                tx.send(planet.map(|p| p.cells.len())).unwrap();
+            }
+        });
+        for round in 0..ROUNDS {
+            match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(cells) => assert_eq!(cells.unwrap(), 24, "round {round}"),
+                Err(_) => panic!("orchestrate hung in round {round}: workers deadlocked"),
+            }
+        }
+        runner.join().expect("runner thread");
         std::fs::remove_dir_all(&dir).ok();
     }
 
