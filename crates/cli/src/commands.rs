@@ -144,15 +144,19 @@ COMMANDS
             (--workers partial clones inside it). --cells caps how many
             of the given buckets run; --budget bounds the total in-flight
             chunk memory across cells (workers block when exhausted);
-            --checkpoint-dir persists each cell's merged result to a
-            versioned, checksummed checkpoint file as it completes, and
-            --resume loads valid checkpoints instead of re-scanning —
-            a resumed run is bit-identical to an uninterrupted one.
-            --kill-after=K is the chaos drill: simulate the process dying
-            right after the K-th checkpoint write (pair with a later
-            --resume to exercise recovery end-to-end). After a clean run,
-            stale checkpoint files in --checkpoint-dir (foreign buckets,
-            outdated plans) are garbage-collected. --serve exposes the
+            --checkpoint-dir appends each cell's merged result as a
+            versioned, checksummed record to the directory's one
+            checkpoint journal (checkpoints.journal) as it completes, and
+            --resume loads the newest valid record of each cell instead
+            of re-scanning — a resumed run is bit-identical to an
+            uninterrupted one; corrupt, torn or stale records count as
+            invalid and their cells re-run. --kill-after=K is the chaos
+            drill: simulate the process dying right after the K-th
+            checkpoint write (pair with a later --resume to exercise
+            recovery end-to-end). After a clean run, the journal is
+            compacted to one current record per cell (stale, superseded
+            and corrupt records dropped) and legacy per-cell *.ckpt and
+            *.ckpt.tmp files are removed. --serve exposes the
             live dashboard for the duration of the run: /status (planet
             progress, per-worker state and utilization, ETA) plus
             /metrics, /report.json, /healthz, /events, /ledger.jsonl.

@@ -222,6 +222,11 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
     let mut kernel_stats = KernelStats::default();
     // Previous iteration's assignments, kept only to count reassignments.
     let mut prev_assign: Vec<u32> = if rec.is_some() { vec![0; n] } else { Vec::new() };
+    // Per-iteration counters, looked up once per run.
+    let iteration_counters = rec.map(|r| {
+        let reg = r.registry();
+        (reg.counter("lloyd_iterations_total"), reg.counter("lloyd_reassignments_total"))
+    });
 
     // Distance calculation against the initial seeds gives MSE(0).
     let mut prev_mse = {
@@ -261,15 +266,15 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         final_mse = mse;
         prev_mse = mse;
         mse_trajectory.push(mse);
-        if let Some(rec) = rec {
+        if let (Some(rec), Some((iters_total, reassigned_total))) = (rec, &iteration_counters) {
             // Convergence bookkeeping (the reassignment diff is an O(n)
             // scan) gets its own phase so it shows up next to the real work.
             let _phase = rec.phase("converge");
             let reassigned =
                 prev_assign.iter().zip(scratch.assignments.iter()).filter(|(a, b)| a != b).count()
                     as u64;
-            rec.registry().counter("lloyd_iterations_total").inc();
-            rec.registry().counter("lloyd_reassignments_total").add(reassigned);
+            iters_total.inc();
+            reassigned_total.add(reassigned);
             rec.event(
                 "lloyd.iteration",
                 &[

@@ -2,7 +2,10 @@
 //!
 //! A [`LedgerSink`] is a [`TraceSink`] that gives every event a monotonic
 //! sequence number and appends it as one JSON object per line — to a file,
-//! an in-memory tail, or both. Because it attaches through the ordinary
+//! an in-memory tail, or both. Each line is encoded once, by the recording
+//! thread and outside the sink's lock, with the same bytes
+//! `serde_json::to_string(&LedgerRecord)` produces; the lock only stamps
+//! the sequence number and appends. Because it attaches through the ordinary
 //! `Recorder::with_sink` seam, bare runs (no recorder) pay nothing and
 //! ledger-enabled runs stay bit-identical to bare runs: the ledger only
 //! *observes* the event stream the instrumented code already emits.
@@ -38,7 +41,9 @@ use crate::report::{FaultReport, PhaseReport, RunReport};
 use crate::trace::{Event, FieldValue, TraceSink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -112,8 +117,124 @@ impl LedgerRecord {
 
 struct LedgerState {
     writer: Option<BufWriter<std::fs::File>>,
-    tail: VecDeque<LedgerRecord>,
+    /// The newest records as encoded lines: each record's `seq` and the
+    /// JSON after its `seq` field (see [`encode_body`]).
+    tail: VecDeque<(u64, Box<str>)>,
     next_seq: u64,
+}
+
+thread_local! {
+    /// Per-thread encode buffer, reused across records.
+    static ENCODE_BUF: RefCell<String> = RefCell::new(String::with_capacity(256));
+}
+
+/// Appends a JSON string literal, escaped exactly as the serde shim does.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// The decimal digits of `n`, written into the tail of `buf`.
+fn u64_digits(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
+}
+
+/// Appends the decimal digits of `n`.
+fn push_u64(out: &mut String, n: u64) {
+    out.push_str(u64_digits(n, &mut [0; 20]));
+}
+
+/// Appends a float the way the serde shim does: shortest round-trip `{:?}`
+/// for finite values, `null` otherwise.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends everything of `event`'s ledger line after the `seq` field:
+/// `"ts_us":…,"name":…,"fields":[…]}`. Prefixed with `{"seq":N,` it is
+/// byte-for-byte `serde_json::to_string(&LedgerRecord)`.
+fn encode_body(event: &Event, out: &mut String) {
+    out.push_str("\"ts_us\":");
+    push_u64(out, event.ts_us);
+    out.push_str(",\"name\":");
+    push_json_str(out, &event.name);
+    out.push_str(",\"fields\":[");
+    for (i, (key, value)) in event.fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        push_json_str(out, key);
+        match value {
+            FieldValue::U64(v) => {
+                out.push_str(",{\"U64\":");
+                push_u64(out, *v);
+            }
+            FieldValue::I64(v) => {
+                out.push_str(",{\"I64\":");
+                if *v < 0 {
+                    out.push('-');
+                }
+                push_u64(out, v.unsigned_abs());
+            }
+            FieldValue::F64(v) => {
+                out.push_str(",{\"F64\":");
+                push_f64(out, *v);
+            }
+            FieldValue::Bool(v) => {
+                out.push_str(",{\"Bool\":");
+                out.push_str(if *v { "true" } else { "false" });
+            }
+            FieldValue::Str(v) => {
+                out.push_str(",{\"Str\":");
+                push_json_str(out, v);
+            }
+        }
+        out.push_str("}]");
+    }
+    out.push_str("]}");
+}
+
+/// A whole ledger line (without the newline) from a tail entry.
+fn line_of(seq: u64, body: &str) -> String {
+    let mut line = String::with_capacity(body.len() + 28);
+    line.push_str("{\"seq\":");
+    push_u64(&mut line, seq);
+    line.push(',');
+    line.push_str(body);
+    line
 }
 
 /// Append-only JSONL journal sink. See the [module docs](self).
@@ -157,32 +278,37 @@ impl LedgerSink {
     }
 
     fn write_header(&self) {
-        self.push(Event {
+        self.push(&Event {
             ts_us: 0,
             name: "ledger.open".to_string(),
             fields: vec![("version".to_string(), FieldValue::U64(LEDGER_VERSION as u64))],
         });
     }
 
-    fn push(&self, event: Event) {
+    fn push(&self, event: &Event) {
+        // Encode off the lock; the lock only stamps `seq` and appends.
+        let body: Box<str> = ENCODE_BUF.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            encode_body(event, &mut buf);
+            Box::from(buf.as_str())
+        });
         let mut state = self.state.lock();
-        let record = LedgerRecord {
-            seq: state.next_seq,
-            ts_us: event.ts_us,
-            name: event.name,
-            fields: event.fields,
-        };
+        let seq = state.next_seq;
         state.next_seq += 1;
         if let Some(writer) = state.writer.as_mut() {
-            if let Ok(line) = serde_json::to_string(&record) {
-                let _ = writer.write_all(line.as_bytes());
-                let _ = writer.write_all(b"\n");
-            }
+            let mut digits = [0; 20];
+            let _ = writer
+                .write_all(b"{\"seq\":")
+                .and_then(|()| writer.write_all(u64_digits(seq, &mut digits).as_bytes()))
+                .and_then(|()| writer.write_all(b","))
+                .and_then(|()| writer.write_all(body.as_bytes()))
+                .and_then(|()| writer.write_all(b"\n"));
         }
         if state.tail.len() == self.retained {
             state.tail.pop_front();
         }
-        state.tail.push_back(record);
+        state.tail.push_back((seq, body));
     }
 
     /// The backing file path, when file-backed.
@@ -199,7 +325,12 @@ impl LedgerSink {
     /// long-poll read. Records older than the retained tail are gone; use
     /// the journal file for the full history.
     pub fn records_after(&self, after: u64) -> Vec<LedgerRecord> {
-        self.state.lock().tail.iter().filter(|r| r.seq > after).cloned().collect()
+        let lines: Vec<String> = {
+            let state = self.state.lock();
+            let from = state.tail.partition_point(|(seq, _)| *seq <= after);
+            state.tail.range(from..).map(|(seq, body)| line_of(*seq, body)).collect()
+        };
+        lines.iter().filter_map(|line| serde_json::from_str(line).ok()).collect()
     }
 
     /// The full journal as JSONL text: the file contents when file-backed
@@ -213,11 +344,9 @@ impl LedgerSink {
         }
         let state = self.state.lock();
         let mut out = String::new();
-        for record in &state.tail {
-            if let Ok(line) = serde_json::to_string(record) {
-                out.push_str(&line);
-                out.push('\n');
-            }
+        for (seq, body) in &state.tail {
+            out.push_str(&line_of(*seq, body));
+            out.push('\n');
         }
         out
     }
@@ -225,7 +354,7 @@ impl LedgerSink {
 
 impl TraceSink for LedgerSink {
     fn record(&self, event: &Event) {
-        self.push(event.clone());
+        self.push(event);
     }
 
     fn flush(&self) {
@@ -1066,6 +1195,35 @@ mod tests {
     }
 
     #[test]
+    fn file_and_tail_lines_match_the_serde_encoding() {
+        let path = temp_path("bytes");
+        let sink = Arc::new(LedgerSink::create(&path).unwrap());
+        let rec = Recorder::new().with_sink(sink.clone());
+        rec.event(
+            "odd \"name\"\n",
+            &[
+                ("nan", f64::NAN.into()),
+                ("neg_zero", (-0.0f64).into()),
+                ("min", i64::MIN.into()),
+                ("ctl\u{1}", "tab\there\\".into()),
+            ],
+        );
+        rec.event("empty", &[]);
+        rec.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, sink.snapshot_jsonl());
+        let parsed = parse_ledger(&text).unwrap();
+        let expected: String =
+            parsed.iter().map(|r| serde_json::to_string(r).unwrap() + "\n").collect();
+        assert_eq!(text, expected);
+        assert!(text.contains("[\"nan\",{\"F64\":null}]"), "non-finite floats encode as null");
+        let tail: Vec<String> =
+            sink.records_after(0).iter().map(|r| serde_json::to_string(r).unwrap()).collect();
+        assert_eq!(tail, text.lines().skip(1).collect::<Vec<_>>());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn scan_block_records_roll_up_io_and_prefetch_tallies() {
         let sink = Arc::new(LedgerSink::in_memory());
         let rec = Recorder::new().with_sink(sink.clone());
@@ -1367,5 +1525,77 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].duration_us, 50);
         assert_eq!(top[1].duration_us, 30);
+    }
+
+    mod properties {
+        use super::super::{encode_body, line_of};
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Characters the encoder must escape, plus plain and multi-byte
+        /// ones.
+        const CHARS: [char; 18] = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
+            'a', ' ', '/', 'é', '€', '😀', '\u{2028}',
+        ];
+
+        const FLOATS: [f64; 12] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+            1e21,
+            1e-7,
+            0.1,
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            proptest::collection::vec(0..CHARS.len(), 0..10)
+                .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+        }
+
+        fn value() -> impl Strategy<Value = FieldValue> {
+            (0u8..7, any::<u64>(), 0..FLOATS.len(), text()).prop_map(
+                |(tag, bits, f, s)| match tag {
+                    0 => FieldValue::U64(bits),
+                    1 => FieldValue::I64(bits as i64),
+                    2 => FieldValue::I64(i64::MIN),
+                    3 => FieldValue::F64(f64::from_bits(bits)),
+                    4 => FieldValue::F64(FLOATS[f]),
+                    5 => FieldValue::Bool(bits & 1 == 1),
+                    _ => FieldValue::Str(s),
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // The direct line writer is byte-for-byte the serde encoding
+            // of the same `LedgerRecord`.
+            #[test]
+            fn line_writer_matches_serde_encoding(
+                seq in any::<u64>(),
+                ts_us in any::<u64>(),
+                name in text(),
+                fields in proptest::collection::vec((text(), value()), 0..6),
+            ) {
+                let event = Event { ts_us, name, fields };
+                let mut body = String::new();
+                encode_body(&event, &mut body);
+                let record = LedgerRecord {
+                    seq,
+                    ts_us: event.ts_us,
+                    name: event.name.clone(),
+                    fields: event.fields.clone(),
+                };
+                prop_assert_eq!(line_of(seq, &body), serde_json::to_string(&record).unwrap());
+            }
+        }
     }
 }

@@ -145,7 +145,8 @@ impl Histogram {
 /// A named collection of instruments.
 ///
 /// `counter`/`gauge`/`histogram` get-or-create by name and hand back an
-/// `Arc`; updating through the `Arc` is lock-free.
+/// `Arc`; updating through the `Arc` is lock-free. A lookup of an existing
+/// instrument allocates nothing; only creation copies the name.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -162,20 +163,31 @@ impl Registry {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock();
-        Arc::clone(map.entry(name.to_string()).or_default())
+        match map.get(name) {
+            Some(c) => Arc::clone(c),
+            None => Arc::clone(map.entry(name.to_string()).or_default()),
+        }
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.gauges.lock();
-        Arc::clone(map.entry(name.to_string()).or_default())
+        match map.get(name) {
+            Some(g) => Arc::clone(g),
+            None => Arc::clone(map.entry(name.to_string()).or_default()),
+        }
     }
 
     /// The histogram named `name`; `bounds` are used only on first creation
     /// (later callers share the existing instrument).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))))
+        match map.get(name) {
+            Some(h) => Arc::clone(h),
+            None => Arc::clone(
+                map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))),
+            ),
+        }
     }
 
     /// A plain-data snapshot of every instrument, sorted by name.

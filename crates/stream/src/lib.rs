@@ -67,7 +67,8 @@ pub use fault::{record_fault, FaultContext, FaultCounters, FaultPlan, FaultPolic
 pub use item::{CellClustering, ChunkMsg, MergeMsg, ScanMsg};
 pub use optimizer::{optimize, optimize_fixed_split};
 pub use orchestrator::{
-    orchestrate, CellOutcome, MemoryBudget, OrchestratorOptions, PlanetReport, CHECKPOINT_VERSION,
+    journal_path, orchestrate, CellOutcome, MemoryBudget, OrchestratorOptions, PlanetReport,
+    CHECKPOINT_VERSION,
 };
 pub use plan::{CoresetSpec, LogicalPlan, PhysicalPlan};
 pub use queue::{QueueStats, SmartQueue};

@@ -15,28 +15,37 @@
 //!   releases it after the merge; when the budget is exhausted workers
 //!   block (backpressure) instead of over-committing memory.
 //! * **Checkpoint/restart** — after a cell's merge, the merged partial
-//!   plus its CellPlan mass accounting and fault counters are persisted to
-//!   a versioned, checksummed checkpoint file. A killed run resumes by
-//!   loading completed cells and re-scanning only the rest. Because every
-//!   per-cell result is a pure function of `(bucket, plan, fault seed)`,
-//!   a resumed run is bit-identical to an uninterrupted one — the
-//!   equivalence suite in `tests/orchestrator_resume.rs` enforces this.
+//!   plus its CellPlan mass accounting and fault counters are appended as
+//!   one versioned, checksummed record to the checkpoint directory's
+//!   journal. A killed run resumes by loading completed cells and
+//!   re-scanning only the rest. Because every per-cell result is a pure
+//!   function of `(bucket, plan, fault seed)`, a resumed run is
+//!   bit-identical to an uninterrupted one — the equivalence suite in
+//!   `tests/orchestrator_resume.rs` enforces this.
 //!
-//! ## Checkpoint file format
+//! ## Checkpoint journal format
 //!
-//! Two JSON lines, mirroring the ledger's versioned JSONL convention:
+//! One append-only file, `<checkpoint-dir>/checkpoints.journal`, opened
+//! once per run. Each commit appends one record of two JSON lines in a
+//! single write, mirroring the ledger's versioned JSONL convention:
 //!
 //! ```text
-//! {"checkpoint":1,"fingerprint":"…16 hex…","checksum":"…16 hex…","input":"cell_090_180.gb"}
+//! {"checkpoint":2,"fingerprint":"…16 hex…","checksum":"…16 hex…","input":"cell_090_180.gb"}
 //! {"clustering":{…},"faults":{…},"degraded":false,"elapsed":{…}}
 //! ```
 //!
 //! The header carries the format version, an FNV-1a fingerprint of every
 //! plan knob that affects results, and an FNV-1a checksum of the payload
-//! line. Unknown header or payload fields are ignored on load (forward
-//! compatible, like the ledger); any mismatch — version, fingerprint,
-//! input name, checksum, truncation, parse failure — invalidates the file
-//! and the cell is silently re-scanned, never a panic.
+//! line. The append is the commit point: a counted checkpoint is already
+//! in the file (there is no fsync, so durability is the page cache's).
+//! Resume reads the journal once and the newest valid record of each
+//! input wins. Unknown header or payload fields are ignored on load
+//! (forward compatible, like the ledger); a record from a newer version,
+//! with a foreign fingerprint, a checksum mismatch, a torn tail or a parse
+//! failure is invalid and its cell is silently re-scanned, never a panic.
+//! After a clean run, garbage collection rewrites the journal (tmp, then
+//! rename) down to the newest valid record of each planned cell whenever
+//! it held records before the run opened it.
 
 use crate::error::{EngineError, Result};
 use crate::executor::{cell_report, execute_cell};
@@ -49,16 +58,26 @@ use pmkm_obs::{
     FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot, WorkerState,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Version stamped into every checkpoint file header. Readers reject
-/// files from a *newer* version (re-scan, not panic); older readers skip
-/// unknown fields, so additive evolution does not need a bump.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version stamped into every checkpoint record header. Readers reject
+/// records from a *newer* version (re-scan, not panic); older readers skip
+/// unknown fields, so additive evolution does not need a bump. Version 2
+/// moved from one file per cell to the journal; version-1 files are not
+/// read.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// File name of the checkpoint journal inside a checkpoint directory.
+const JOURNAL_FILE: &str = "checkpoints.journal";
+
+/// Every record header line starts with this; payload lines never do.
+const HEADER_PREFIX: &[u8] = b"{\"checkpoint\":";
 
 /// How the orchestrator runs a batch of cells.
 #[derive(Debug, Clone, Default)]
@@ -70,11 +89,11 @@ pub struct OrchestratorOptions {
     /// admits everything. Must be at least the largest single cell's
     /// footprint or [`orchestrate`] rejects the plan.
     pub budget_bytes: Option<usize>,
-    /// Directory for per-cell checkpoint files; `None` disables
+    /// Directory holding the checkpoint journal; `None` disables
     /// checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Load valid checkpoints from `checkpoint_dir` before scheduling and
-    /// re-scan only the cells without one.
+    /// Load valid checkpoints from the journal in `checkpoint_dir` before
+    /// scheduling and re-scan only the cells without one.
     pub resume: bool,
     /// Chaos-drill hook: simulate the process dying immediately after the
     /// k-th checkpoint write. Scheduling stops, in-flight cells are
@@ -224,7 +243,7 @@ struct CheckpointPayload {
     elapsed: Duration,
 }
 
-/// First line of a checkpoint file.
+/// First line of a checkpoint record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CheckpointHeader {
     /// Format version ([`CHECKPOINT_VERSION`]).
@@ -258,12 +277,13 @@ pub struct PlanetReport {
     pub cells_resumed: usize,
     /// Cells executed through the pipeline this run.
     pub cells_executed: usize,
-    /// Checkpoint files detected as corrupt/stale and re-scanned.
+    /// Cells whose journal records were all corrupt or stale (re-scanned),
+    /// plus journal stretches no record header could be read from.
     pub checkpoints_invalid: usize,
-    /// Checkpoint files written this run.
+    /// Checkpoint records appended this run.
     pub checkpoints_written: usize,
-    /// Stale checkpoint files (foreign bucket or outdated fingerprint)
-    /// garbage-collected after the run completed cleanly.
+    /// Journal records (stale, superseded or corrupt) and legacy per-cell
+    /// checkpoint files garbage-collected after the run completed cleanly.
     pub checkpoints_pruned: usize,
     /// True when the kill-after-k drill stopped the run early.
     pub interrupted: bool,
@@ -397,35 +417,40 @@ pub fn orchestrate(
     let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
     let mut pending: Vec<usize> = Vec::new();
     let mut invalid = 0usize;
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
+    match (&opts.checkpoint_dir, opts.resume) {
+        (Some(dir), true) => {
+            let mut scan = read_journal(dir, fingerprint);
             for (i, path) in inputs.iter().enumerate() {
-                match load_checkpoint(dir, path, fingerprint) {
-                    CheckpointState::Loaded(p) => {
-                        outcomes[i] = Some(CellOutcome {
-                            input: i,
-                            path: path.clone(),
-                            clustering: p.clustering,
-                            faults: p.faults,
-                            degraded: p.degraded,
-                            elapsed: p.elapsed,
-                            resumed: true,
-                        });
-                    }
-                    CheckpointState::Invalid => {
-                        invalid += 1;
-                        pending.push(i);
-                    }
-                    CheckpointState::Missing => pending.push(i),
+                let name = file_name(path);
+                if let Some(p) = scan.loaded.remove(&name) {
+                    outcomes[i] = Some(CellOutcome {
+                        input: i,
+                        path: path.clone(),
+                        clustering: p.clustering,
+                        faults: p.faults,
+                        degraded: p.degraded,
+                        elapsed: p.elapsed,
+                        resumed: true,
+                    });
+                } else {
+                    invalid += usize::from(scan.rejected.contains(&name));
+                    pending.push(i);
                 }
             }
-        } else {
-            pending = (0..n).collect();
+            invalid += scan.unattributed;
         }
-    } else {
-        pending = (0..n).collect();
+        _ => pending = (0..n).collect(),
     }
     let resumed = n - pending.len();
+    // The journal is opened once, after resume has read it; every commit
+    // appends to this one handle.
+    let (journal, journal_had_records) = match &opts.checkpoint_dir {
+        Some(dir) => {
+            let (file, had_records) = open_journal(dir)?;
+            (Some(file), had_records)
+        }
+        None => (None, false),
+    };
 
     if let Some(rec) = rec.as_deref() {
         rec.event(
@@ -503,7 +528,7 @@ pub fn orchestrate(
         first_err: Mutex::new(None),
         kill: AtomicBool::new(false),
         interrupted: AtomicBool::new(false),
-        ckpt_written: Mutex::new(0),
+        commit: Mutex::new(Commit { written: 0, journal }),
         steals: AtomicU64::new(0),
         running: AtomicUsize::new(0),
         checkpoint_dir: opts.checkpoint_dir.clone(),
@@ -531,13 +556,24 @@ pub fn orchestrate(
     let interrupted = shared.interrupted.load(Ordering::Relaxed);
     shared.publish_status(if interrupted { "interrupted" } else { "done" });
 
-    // After a clean, uninterrupted run, prune checkpoint files the plan
-    // can no longer use (foreign buckets, outdated fingerprints); the
-    // current run's own checkpoints are kept so a re-run still resumes.
+    // Close the journal before GC may replace it.
+    let checkpoints_written = {
+        let mut commit = shared.commit.lock();
+        commit.journal = None;
+        if opts.checkpoint_dir.is_some() {
+            commit.written
+        } else {
+            0
+        }
+    };
+    // After a clean, uninterrupted run, prune what the plan can no longer
+    // use (legacy per-cell files, and journal records for foreign buckets,
+    // outdated fingerprints or superseded writes); the newest record of
+    // each planned cell is kept so a re-run still resumes.
     let mut checkpoints_pruned = 0usize;
     if !interrupted {
         if let Some(dir) = &opts.checkpoint_dir {
-            checkpoints_pruned = gc_checkpoints(dir, inputs, fingerprint);
+            checkpoints_pruned = gc_checkpoints(dir, inputs, fingerprint, journal_had_records);
             if checkpoints_pruned > 0 {
                 if let Some(rec) = rec.as_deref() {
                     rec.event("checkpoint.gc", &[("removed", checkpoints_pruned.into())]);
@@ -552,8 +588,6 @@ pub fn orchestrate(
         add_faults(&mut faults, &o.faults);
     }
     let degraded = cells.iter().any(|o| o.degraded);
-    let checkpoints_written =
-        if opts.checkpoint_dir.is_some() { *shared.ckpt_written.lock() } else { 0 };
     let elapsed = started.elapsed();
     if let Some(rec) = rec.as_deref() {
         pmkm_obs::emit_phase_events(rec);
@@ -598,7 +632,7 @@ struct Shared<'a> {
     first_err: Mutex<Option<EngineError>>,
     kill: AtomicBool,
     interrupted: AtomicBool,
-    ckpt_written: Mutex<usize>,
+    commit: Mutex<Commit>,
     steals: AtomicU64,
     running: AtomicUsize,
     checkpoint_dir: Option<PathBuf>,
@@ -608,6 +642,16 @@ struct Shared<'a> {
     status: Option<Arc<StatusCell>>,
     started: Instant,
     cells_total: usize,
+}
+
+/// The commit point: the checkpoint count and the open journal share one
+/// lock with the kill check.
+struct Commit {
+    /// Cells committed this run (checkpoint records appended, when
+    /// checkpointing).
+    written: usize,
+    /// The journal, open for append while the run checkpoints.
+    journal: Option<File>,
 }
 
 impl Shared<'_> {
@@ -741,6 +785,9 @@ fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
                 shared.set_state(w, WorkerState::Idle);
                 return;
             }
+            // The wait ends here: pipeline setup is the cell's scan, not
+            // budget wait.
+            shared.set_state(w, WorkerState::Scan);
         }
         // The cell's own pipeline states (scan → partial → merge) land on
         // this worker's lane via the binding.
@@ -763,55 +810,65 @@ fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
                 return;
             }
             Ok(outcome) => {
+                // The record is encoded before the commit lock; the append
+                // under it is the commit point.
+                let record = shared.checkpoint_dir.as_ref().map(|_| {
+                    shared.set_state(w, WorkerState::Checkpoint);
+                    encode_checkpoint(shared.fingerprint, &outcome)
+                });
                 // Checkpoint + commit atomically with the kill check: a
                 // cell whose checkpoint was not written before the "kill"
                 // is treated as died-in-flight and discarded, exactly what
                 // a real process death would leave behind.
-                let mut written = shared.ckpt_written.lock();
+                let mut commit = shared.commit.lock();
                 if shared.kill.load(Ordering::Relaxed) {
                     shared.set_state(w, WorkerState::Idle);
                     return;
                 }
-                if let Some(dir) = &shared.checkpoint_dir {
-                    shared.set_state(w, WorkerState::Checkpoint);
-                    match write_checkpoint(dir, shared.fingerprint, &outcome) {
-                        Ok(bytes) => {
-                            *written += 1;
-                            if let Some(rec) = shared.rec.as_deref() {
-                                let cell = outcome
-                                    .clustering
-                                    .as_ref()
-                                    .map(|c| c.cell.index().to_string())
-                                    .unwrap_or_else(|| file_name(&outcome.path));
-                                rec.event(
-                                    "cell.checkpoint",
-                                    &[
-                                        ("cell", cell.into()),
-                                        ("seq", (*written as u64).into()),
-                                        ("bytes", (bytes as u64).into()),
-                                    ],
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            drop(written);
-                            let mut err = shared.first_err.lock();
-                            if err.is_none() {
-                                *err = Some(e);
-                            }
-                            shared.kill.store(true, Ordering::Relaxed);
-                            shared.set_state(w, WorkerState::Idle);
-                            return;
+                // Bytes appended, or `None` when the run does not checkpoint.
+                let appended = match (record, commit.journal.as_mut()) {
+                    (Some(record), Some(journal)) => record.and_then(|text| {
+                        journal.write_all(text.as_bytes()).map(|()| Some(text.len())).map_err(|e| {
+                            EngineError::InvalidPlan(format!("checkpoint journal append: {e}"))
+                        })
+                    }),
+                    _ => Ok(None),
+                };
+                match appended {
+                    Ok(bytes) => {
+                        commit.written += 1;
+                        if let (Some(bytes), Some(rec)) = (bytes, shared.rec.as_deref()) {
+                            let cell = outcome
+                                .clustering
+                                .as_ref()
+                                .map(|c| c.cell.index().to_string())
+                                .unwrap_or_else(|| file_name(&outcome.path));
+                            rec.event(
+                                "cell.checkpoint",
+                                &[
+                                    ("cell", cell.into()),
+                                    ("seq", (commit.written as u64).into()),
+                                    ("bytes", (bytes as u64).into()),
+                                ],
+                            );
                         }
                     }
-                } else {
-                    *written += 1;
+                    Err(e) => {
+                        drop(commit);
+                        let mut err = shared.first_err.lock();
+                        if err.is_none() {
+                            *err = Some(e);
+                        }
+                        shared.kill.store(true, Ordering::Relaxed);
+                        shared.set_state(w, WorkerState::Idle);
+                        return;
+                    }
                 }
-                if shared.kill_after == Some(*written) {
+                if shared.kill_after == Some(commit.written) {
                     shared.kill.store(true, Ordering::Relaxed);
                     shared.interrupted.store(true, Ordering::Relaxed);
                 }
-                drop(written);
+                drop(commit);
                 shared.outcomes.lock()[i] = Some(outcome);
                 shared.set_state(w, WorkerState::Idle);
                 shared.publish_status("running");
@@ -890,12 +947,13 @@ fn file_name(path: &Path) -> String {
     path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
 }
 
-/// Checkpoint file path for a bucket: `<dir>/<bucket file name>.ckpt`.
-pub fn checkpoint_path(dir: &Path, input: &Path) -> PathBuf {
-    dir.join(format!("{}.ckpt", file_name(input)))
+/// The checkpoint journal inside a checkpoint directory.
+pub fn journal_path(dir: &Path) -> PathBuf {
+    dir.join(JOURNAL_FILE)
 }
 
-fn write_checkpoint(dir: &Path, fingerprint: u64, outcome: &CellOutcome) -> Result<usize> {
+/// One checkpoint record (header line + payload line) for `outcome`.
+fn encode_checkpoint(fingerprint: u64, outcome: &CellOutcome) -> Result<String> {
     let payload = CheckpointPayload {
         clustering: outcome.clustering.clone(),
         faults: outcome.faults,
@@ -912,88 +970,219 @@ fn write_checkpoint(dir: &Path, fingerprint: u64, outcome: &CellOutcome) -> Resu
     };
     let header_line = serde_json::to_string(&header)
         .map_err(|e| EngineError::InvalidPlan(format!("checkpoint serialization failed: {e}")))?;
-    let text = format!("{header_line}\n{payload_line}\n");
-    std::fs::create_dir_all(dir)
-        .map_err(|e| EngineError::InvalidPlan(format!("checkpoint dir {}: {e}", dir.display())))?;
-    let path = checkpoint_path(dir, &outcome.path);
-    // Write-then-rename so a crash mid-write leaves no half file behind
-    // (a truncated file would be caught by the checksum anyway).
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, &text)
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .map_err(|e| EngineError::InvalidPlan(format!("checkpoint {}: {e}", path.display())))?;
-    Ok(text.len())
+    Ok(format!("{header_line}\n{payload_line}\n"))
 }
 
-/// Garbage-collects checkpoint files a completed run can no longer use:
-/// `.ckpt` files for buckets outside the plan's input list and files whose
-/// header fingerprint does not match the run (both would be rejected as
-/// stale on the next resume anyway). Checkpoints of the run's own cells
-/// are kept, so re-running the same plan still resumes instantly. Returns
-/// the number of files removed; I/O errors skip the file, never fail the
-/// run.
-fn gc_checkpoints(dir: &Path, inputs: &[std::path::PathBuf], fingerprint: u64) -> usize {
-    let keep: std::collections::HashSet<PathBuf> =
-        inputs.iter().map(|p| checkpoint_path(dir, p)).collect();
-    let want = format!("{fingerprint:016x}");
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("ckpt") {
-            continue;
+/// Opens (creating) the journal for append. Returns the handle and
+/// whether the journal already held bytes. A record torn by a crash has
+/// no trailing newline, so one is appended first: the torn record stays
+/// invalid and the next record starts on a line of its own.
+fn open_journal(dir: &Path) -> Result<(File, bool)> {
+    let err = |e: std::io::Error| {
+        EngineError::InvalidPlan(format!("checkpoint journal in {}: {e}", dir.display()))
+    };
+    std::fs::create_dir_all(dir).map_err(err)?;
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(journal_path(dir))
+        .map_err(err)?;
+    let len = file.metadata().map_err(err)?.len();
+    if len > 0 {
+        let mut last = [0u8];
+        file.seek(SeekFrom::Start(len - 1))
+            .and_then(|_| file.read_exact(&mut last))
+            .map_err(err)?;
+        if last[0] != b'\n' {
+            file.write_all(b"\n").map_err(err)?;
         }
-        let stale = if !keep.contains(&path) {
-            true // a bucket this plan does not schedule
-        } else {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    let header_line = text.split('\n').next().unwrap_or("");
-                    match serde_json::from_str::<CheckpointHeader>(header_line) {
-                        Ok(h) => h.fingerprint != want,
-                        Err(_) => true, // unparsable header: dead weight
+    }
+    Ok((file, len > 0))
+}
+
+/// One entry of a parsed journal.
+enum Entry<'a> {
+    /// A header line and the payload line after it (not yet validated).
+    Record { header: CheckpointHeader, header_line: &'a [u8], payload: &'a [u8] },
+    /// A header whose payload line never reached the file.
+    Torn(CheckpointHeader),
+    /// A run of lines no header could be read from (garbage, or a torn or
+    /// corrupted header with its payload).
+    Garbage,
+}
+
+/// Splits journal bytes into entries. Never fails: anything that is not
+/// a header + payload pair becomes a `Torn` or `Garbage` entry, and
+/// parsing resynchronizes on the next header line.
+fn parse_journal(bytes: &[u8]) -> Vec<Entry<'_>> {
+    let header_of = |line: &[u8]| -> Option<CheckpointHeader> {
+        if !line.starts_with(HEADER_PREFIX) {
+            return None;
+        }
+        serde_json::from_str(std::str::from_utf8(line).ok()?).ok()
+    };
+    let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
+    let mut entries = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        match header_of(lines[i]) {
+            None => {
+                if !matches!(entries.last(), Some(Entry::Garbage)) {
+                    entries.push(Entry::Garbage);
+                }
+                i += 1;
+            }
+            Some(header) => match lines.get(i + 1) {
+                Some(&payload) if !payload.starts_with(HEADER_PREFIX) => {
+                    entries.push(Entry::Record { header, header_line: lines[i], payload });
+                    i += 2;
+                }
+                _ => {
+                    entries.push(Entry::Torn(header));
+                    i += 1;
+                }
+            },
+        }
+    }
+    entries
+}
+
+/// True when a record belongs to this run's plan and its payload is
+/// intact: version not newer than ours, matching fingerprint, matching
+/// checksum.
+fn record_current(header: &CheckpointHeader, payload: &[u8], fingerprint: &str) -> bool {
+    header.checkpoint <= CHECKPOINT_VERSION
+        && header.fingerprint == fingerprint
+        && header.checksum == format!("{:016x}", fnv1a(payload))
+}
+
+/// What a resume found in the journal.
+#[derive(Default)]
+struct JournalScan {
+    /// The newest valid record of each input, by bucket file name.
+    loaded: HashMap<String, CheckpointPayload>,
+    /// Inputs with records but no valid one.
+    rejected: HashSet<String>,
+    /// Journal stretches no record header could be read from.
+    unattributed: usize,
+}
+
+/// Reads the journal once for resume. The newest valid record of each
+/// input wins. A missing journal resumes nothing; an unreadable one
+/// resumes nothing and counts as one invalid stretch.
+fn read_journal(dir: &Path, fingerprint: u64) -> JournalScan {
+    let mut scan = JournalScan::default();
+    let bytes = match std::fs::read(journal_path(dir)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return scan,
+        Err(_) => {
+            scan.unattributed = 1;
+            return scan;
+        }
+    };
+    let want = format!("{fingerprint:016x}");
+    // Newest first, so the first valid record seen for an input wins.
+    for entry in parse_journal(&bytes).into_iter().rev() {
+        match entry {
+            Entry::Garbage => scan.unattributed += 1,
+            Entry::Torn(header) => {
+                if !scan.loaded.contains_key(&header.input) {
+                    scan.rejected.insert(header.input);
+                }
+            }
+            Entry::Record { header, payload, .. } => {
+                if scan.loaded.contains_key(&header.input) {
+                    continue;
+                }
+                let parsed = if record_current(&header, payload, &want) {
+                    std::str::from_utf8(payload)
+                        .ok()
+                        .and_then(|text| serde_json::from_str::<CheckpointPayload>(text).ok())
+                } else {
+                    None
+                };
+                match parsed {
+                    Some(p) => {
+                        scan.rejected.remove(&header.input);
+                        scan.loaded.insert(header.input, p);
+                    }
+                    None => {
+                        scan.rejected.insert(header.input);
                     }
                 }
-                Err(_) => false, // unreadable now; leave it for resume to judge
             }
-        };
-        if stale && std::fs::remove_file(&path).is_ok() {
-            removed += 1;
         }
+    }
+    scan
+}
+
+/// Garbage-collects what a completed run can no longer use: legacy
+/// per-cell `*.ckpt` / `*.ckpt.tmp` files and, when the journal held
+/// records before this run opened it (`compact`), every journal record
+/// except the newest valid one of each planned cell. The journal is then
+/// rewritten once, tmp-then-rename. A journal this run created holds only
+/// this run's records, one per cell, so it is left as written. Returns
+/// files plus records removed; I/O errors skip the step, never fail the
+/// run.
+fn gc_checkpoints(dir: &Path, inputs: &[PathBuf], fingerprint: u64, compact: bool) -> usize {
+    let mut removed = 0;
+    if let Ok(entries) = std::fs::read_dir(dir) {
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if (name.ends_with(".ckpt") || name.ends_with(".ckpt.tmp"))
+                && std::fs::remove_file(entry.path()).is_ok()
+            {
+                removed += 1;
+            }
+        }
+    }
+    if compact {
+        removed += compact_journal(dir, inputs, fingerprint);
     }
     removed
 }
 
-enum CheckpointState {
-    Loaded(Box<CheckpointPayload>),
-    Missing,
-    Invalid,
-}
-
-fn load_checkpoint(dir: &Path, input: &Path, fingerprint: u64) -> CheckpointState {
-    let path = checkpoint_path(dir, input);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CheckpointState::Missing,
-        Err(_) => return CheckpointState::Invalid,
-    };
-    let Some((header_line, rest)) = text.split_once('\n') else {
-        return CheckpointState::Invalid;
-    };
-    let payload_line = rest.strip_suffix('\n').unwrap_or(rest);
-    let Ok(header) = serde_json::from_str::<CheckpointHeader>(header_line) else {
-        return CheckpointState::Invalid;
-    };
-    if header.checkpoint > CHECKPOINT_VERSION
-        || header.fingerprint != format!("{fingerprint:016x}")
-        || header.input != file_name(input)
-        || header.checksum != format!("{:016x}", fnv1a(payload_line.as_bytes()))
-    {
-        return CheckpointState::Invalid;
+/// Rewrites the journal down to the newest valid record of each planned
+/// cell, in journal order. Returns the records dropped.
+fn compact_journal(dir: &Path, inputs: &[PathBuf], fingerprint: u64) -> usize {
+    let path = journal_path(dir);
+    let Ok(bytes) = std::fs::read(&path) else { return 0 };
+    let planned: HashSet<String> = inputs.iter().map(|p| file_name(p)).collect();
+    let want = format!("{fingerprint:016x}");
+    let entries = parse_journal(&bytes);
+    let mut seen: HashSet<&str> = HashSet::new();
+    let mut keep: Vec<(&[u8], &[u8])> = Vec::new();
+    for entry in entries.iter().rev() {
+        if let Entry::Record { header, header_line, payload } = entry {
+            if planned.contains(&header.input)
+                && !seen.contains(header.input.as_str())
+                && record_current(header, payload, &want)
+            {
+                seen.insert(&header.input);
+                keep.push((header_line, payload));
+            }
+        }
     }
-    match serde_json::from_str::<CheckpointPayload>(payload_line) {
-        Ok(p) => CheckpointState::Loaded(Box::new(p)),
-        Err(_) => CheckpointState::Invalid,
+    let dropped = entries.len() - keep.len();
+    if dropped == 0 {
+        return 0;
+    }
+    let mut text = Vec::with_capacity(bytes.len());
+    for (header_line, payload) in keep.into_iter().rev() {
+        text.extend_from_slice(header_line);
+        text.push(b'\n');
+        text.extend_from_slice(payload);
+        text.push(b'\n');
+    }
+    let tmp = path.with_extension("journal.tmp");
+    match std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path)) {
+        Ok(()) => dropped,
+        Err(_) => {
+            let _ = std::fs::remove_file(&tmp);
+            0
+        }
     }
 }
 
@@ -1221,43 +1410,87 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn bare_outcome(path: &Path) -> CellOutcome {
+        CellOutcome {
+            input: 0,
+            path: path.to_path_buf(),
+            clustering: None,
+            faults: FaultReport::default(),
+            degraded: false,
+            elapsed: Duration::ZERO,
+            resumed: false,
+        }
+    }
+
+    /// Appends one record the way a commit does.
+    fn append(dir: &Path, fingerprint: u64, outcome: &CellOutcome) {
+        let (mut journal, _) = open_journal(dir).unwrap();
+        journal.write_all(encode_checkpoint(fingerprint, outcome).unwrap().as_bytes()).unwrap();
+    }
+
+    fn journal_records(dir: &Path) -> usize {
+        parse_journal(&std::fs::read(journal_path(dir)).unwrap()).len()
+    }
+
     #[test]
     fn checkpoint_gc_keeps_current_run_and_deletes_stale_files() {
         let dir = tmpdir("ckpt_gc");
         let ckpt_dir = dir.join("ckpt");
         let keep_bucket = write_cell(&dir, 21, 50, 3);
         let foreign_bucket = write_cell(&dir, 22, 50, 3);
-        let outcome = |path: &PathBuf| CellOutcome {
-            input: 0,
-            path: path.clone(),
-            clustering: None,
-            faults: FaultReport::default(),
-            degraded: false,
-            elapsed: Duration::ZERO,
-            resumed: false,
-        };
-        // Current-run checkpoint: in the plan, matching fingerprint.
-        write_checkpoint(&ckpt_dir, 0x1111, &outcome(&keep_bucket)).unwrap();
-        // Same bucket, old fingerprint — overwritten case doesn't apply
-        // here, so stage the stale fingerprint on the foreign bucket and
-        // a plan-external file instead.
-        write_checkpoint(&ckpt_dir, 0x9999, &outcome(&foreign_bucket)).unwrap();
+        // A superseded and a current record of a planned cell, a stale
+        // fingerprint, and a garbage line.
+        let mut older = bare_outcome(&keep_bucket);
+        older.elapsed = Duration::from_micros(1);
+        append(&ckpt_dir, 0x1111, &older);
+        append(&ckpt_dir, 0x9999, &bare_outcome(&foreign_bucket));
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(journal_path(&ckpt_dir))
+            .unwrap()
+            .write_all(b"junk\n")
+            .unwrap();
+        append(&ckpt_dir, 0x1111, &bare_outcome(&keep_bucket));
+        // Legacy per-cell files, including a crash's orphaned temp file.
         std::fs::write(ckpt_dir.join("orphan.gb.ckpt"), "junk\n").unwrap();
+        std::fs::write(ckpt_dir.join("cell_001_001.gb.ckpt.tmp"), "half").unwrap();
         // A non-checkpoint file is never touched.
         std::fs::write(ckpt_dir.join("notes.txt"), "keep me").unwrap();
 
         let inputs = vec![keep_bucket.clone(), foreign_bucket.clone()];
-        let removed = gc_checkpoints(&ckpt_dir, &inputs, 0x1111);
-        assert_eq!(removed, 2, "stale fingerprint + orphan");
-        assert!(checkpoint_path(&ckpt_dir, &keep_bucket).exists(), "current kept");
-        assert!(!checkpoint_path(&ckpt_dir, &foreign_bucket).exists(), "stale deleted");
-        assert!(!ckpt_dir.join("orphan.gb.ckpt").exists(), "orphan deleted");
+        let removed = gc_checkpoints(&ckpt_dir, &inputs, 0x1111, true);
+        assert_eq!(removed, 5, "2 legacy files + superseded, stale and garbage records");
+        assert!(!ckpt_dir.join("orphan.gb.ckpt").exists(), "legacy file deleted");
+        assert!(!ckpt_dir.join("cell_001_001.gb.ckpt.tmp").exists(), "orphaned tmp deleted");
         assert!(ckpt_dir.join("notes.txt").exists(), "non-ckpt untouched");
-        // The kept checkpoint still loads.
-        assert!(matches!(
-            load_checkpoint(&ckpt_dir, &keep_bucket, 0x1111),
-            CheckpointState::Loaded(_)
-        ));
+        assert_eq!(journal_records(&ckpt_dir), 1, "only the newest current record is kept");
+        // The kept record is the newest one and still loads.
+        let scan = read_journal(&ckpt_dir, 0x1111);
+        assert_eq!(scan.loaded[&file_name(&keep_bucket)].elapsed, Duration::ZERO);
+        assert!(scan.rejected.is_empty());
+        assert_eq!(scan.unattributed, 0);
+        // A compacted journal has nothing left to drop.
+        assert_eq!(gc_checkpoints(&ckpt_dir, &inputs, 0x1111, true), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gc_prunes_orphaned_legacy_temp_files_without_compacting() {
+        let dir = tmpdir("ckpt_tmp_gc");
+        let ckpt_dir = dir.join("ckpt");
+        let bucket = write_cell(&dir, 23, 50, 3);
+        append(&ckpt_dir, 0x1111, &bare_outcome(&bucket));
+        append(&ckpt_dir, 0x2222, &bare_outcome(&bucket));
+        std::fs::write(ckpt_dir.join("cell_023_023.gb.ckpt.tmp"), "torn").unwrap();
+        std::fs::write(ckpt_dir.join("cell_023_023.gb.ckpt"), "old format").unwrap();
+        // Without `compact` only the legacy files go; the journal stays.
+        assert_eq!(gc_checkpoints(&ckpt_dir, &[bucket], 0x1111, false), 2);
+        assert_eq!(journal_records(&ckpt_dir), 2);
+        let names: Vec<String> = std::fs::read_dir(&ckpt_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![JOURNAL_FILE.to_string()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1267,23 +1500,72 @@ mod tests {
         let paths: Vec<PathBuf> = (1..=2).map(|i| write_cell(&dir, i, 60, 4)).collect();
         let plan = mk_plan(&paths, 5);
         let ckpt_dir = dir.join("ckpt");
-        // Seed a stale file from a "previous" differently-configured run.
+        // Seed legacy files from a run of the per-cell format.
         std::fs::create_dir_all(&ckpt_dir).unwrap();
         std::fs::write(ckpt_dir.join("old_run.gb.ckpt"), "junk\n").unwrap();
+        std::fs::write(ckpt_dir.join("old_run.gb.ckpt.tmp"), "junk").unwrap();
         let opts = OrchestratorOptions::new(2).with_checkpoints(&ckpt_dir);
         let planet = orchestrate(&plan, &opts, None, None).unwrap();
         assert_eq!(planet.checkpoints_written, 2);
-        assert_eq!(planet.checkpoints_pruned, 1, "stale file pruned");
+        assert_eq!(planet.checkpoints_pruned, 2, "legacy files pruned");
         assert!(!ckpt_dir.join("old_run.gb.ckpt").exists());
-        for p in &paths {
-            assert!(checkpoint_path(&ckpt_dir, p).exists(), "own checkpoints kept");
-        }
+        assert!(!ckpt_dir.join("old_run.gb.ckpt.tmp").exists());
+        assert_eq!(journal_records(&ckpt_dir), 2, "own checkpoints kept");
         // An interrupted run must NOT prune (resume still needs the dir).
         std::fs::write(ckpt_dir.join("old_run.gb.ckpt"), "junk\n").unwrap();
         let killed = orchestrate(&plan, &opts.clone().kill_after(1), None, None).unwrap();
         assert!(killed.interrupted);
         assert_eq!(killed.checkpoints_pruned, 0);
         assert!(ckpt_dir.join("old_run.gb.ckpt").exists());
+        assert_eq!(journal_records(&ckpt_dir), 3);
+        // A clean re-run appends two more records, then compacts the
+        // journal back to one per cell: 3 superseded records + 1 file.
+        let rerun = orchestrate(&plan, &opts, None, None).unwrap();
+        assert_eq!(rerun.checkpoints_pruned, 4);
+        assert_eq!(journal_records(&ckpt_dir), 2);
+        let resumed = orchestrate(&plan, &opts.clone().resuming(), None, None).unwrap();
+        assert_eq!(resumed.cells_resumed, 2);
+        assert_eq!(resumed.checkpoints_pruned, 0, "nothing stale left");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With a budget that never blocks, a lane's budget-wait dwell covers
+    /// only the `acquire` call: the worker leaves the state as soon as
+    /// admission returns, before the cell's pipeline is built. With one
+    /// worker the ledger order pins this exactly: every `budget-wait`
+    /// transition is followed by the lane's `scan` transition before the
+    /// scan operator announces the cell (`cell.open`).
+    #[test]
+    fn ample_budget_wait_ends_when_acquire_returns() {
+        let dir = tmpdir("budget_dwell");
+        let paths: Vec<PathBuf> = (1..=4).map(|i| write_cell(&dir, i, 90, 6)).collect();
+        let plan = mk_plan(&paths, 3);
+        let ring = Arc::new(pmkm_obs::RingBufferSink::new(1 << 16));
+        let rec = Recorder::new()
+            .with_sink(ring.clone())
+            .with_timeline(Arc::new(pmkm_obs::Timeline::new()));
+        let opts = OrchestratorOptions::new(1).with_budget(cell_cost(&plan, 2) * 8);
+        let planet = orchestrate(&plan, &opts, Some(Arc::new(rec)), None).unwrap();
+        assert_eq!(planet.cells.len(), 4);
+        let events = ring.events();
+        let state = |e: &pmkm_obs::Event| match e.fields.iter().find(|(k, _)| k == "state") {
+            Some((_, pmkm_obs::FieldValue::Str(s))) => s.clone(),
+            _ => String::new(),
+        };
+        let mut waits = 0;
+        for (i, e) in events.iter().enumerate() {
+            if e.name != "worker.state" || state(e) != "budget-wait" {
+                continue;
+            }
+            waits += 1;
+            let next = events[i + 1..]
+                .iter()
+                .find(|n| n.name == "worker.state" || n.name == "cell.open")
+                .expect("the admitted cell runs");
+            assert_eq!(next.name, "worker.state", "budget wait still open at cell.open");
+            assert_eq!(state(next), "scan");
+        }
+        assert_eq!(waits, 4, "one admission per cell");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1319,40 +1601,75 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_files_round_trip_and_detect_tampering() {
+    fn checkpoint_records_round_trip_and_detect_tampering() {
         let dir = tmpdir("ckpt_unit");
         let bucket = write_cell(&dir, 4, 90, 17);
+        let name = file_name(&bucket);
         let outcome = CellOutcome {
-            input: 0,
-            path: bucket.clone(),
-            clustering: None,
             faults: FaultReport { scan_retries: 2, ..FaultReport::default() },
             degraded: true,
             elapsed: Duration::from_micros(123),
-            resumed: false,
+            ..bare_outcome(&bucket)
         };
         let ckpt_dir = dir.join("ckpt");
-        write_checkpoint(&ckpt_dir, 0xabcd, &outcome).unwrap();
-        match load_checkpoint(&ckpt_dir, &bucket, 0xabcd) {
-            CheckpointState::Loaded(p) => {
-                assert_eq!(p.faults.scan_retries, 2);
-                assert!(p.degraded);
-                assert_eq!(p.elapsed, Duration::from_micros(123));
-            }
-            _ => panic!("expected a valid checkpoint"),
-        }
+        // Missing journal: nothing loaded, nothing invalid.
+        let scan = read_journal(&ckpt_dir, 0xabcd);
+        assert!(scan.loaded.is_empty() && scan.rejected.is_empty() && scan.unattributed == 0);
+        append(&ckpt_dir, 0xabcd, &outcome);
+        let scan = read_journal(&ckpt_dir, 0xabcd);
+        let p = &scan.loaded[&name];
+        assert_eq!(p.faults.scan_retries, 2);
+        assert!(p.degraded);
+        assert_eq!(p.elapsed, Duration::from_micros(123));
         // Wrong fingerprint → invalid, not panic.
-        assert!(matches!(load_checkpoint(&ckpt_dir, &bucket, 0xabce), CheckpointState::Invalid));
+        let scan = read_journal(&ckpt_dir, 0xabce);
+        assert!(scan.loaded.is_empty());
+        assert!(scan.rejected.contains(&name));
         // Flip one payload byte → checksum catches it.
-        let path = checkpoint_path(&ckpt_dir, &bucket);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        let flip = text.len() - 3;
-        text.replace_range(flip..flip + 1, "X");
-        std::fs::write(&path, &text).unwrap();
-        assert!(matches!(load_checkpoint(&ckpt_dir, &bucket, 0xabcd), CheckpointState::Invalid));
-        // Missing file is a distinct state.
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(load_checkpoint(&ckpt_dir, &bucket, 0xabcd), CheckpointState::Missing));
+        let path = journal_path(&ckpt_dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let flip = bytes.len() - 3;
+        bytes[flip] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = read_journal(&ckpt_dir, 0xabcd);
+        assert!(scan.loaded.is_empty());
+        assert!(scan.rejected.contains(&name));
+        // A later intact record supersedes the corrupt one, and a newer
+        // stale record does not shadow it.
+        append(&ckpt_dir, 0xabcd, &outcome);
+        append(&ckpt_dir, 0x9999, &outcome);
+        let scan = read_journal(&ckpt_dir, 0xabcd);
+        assert!(scan.loaded.contains_key(&name));
+        assert!(scan.rejected.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_parser_resyncs_after_torn_and_garbage_records() {
+        let dir = tmpdir("ckpt_parse");
+        let a = write_cell(&dir, 5, 30, 1);
+        let b = write_cell(&dir, 6, 30, 1);
+        let record = |p: &Path| encode_checkpoint(7, &bare_outcome(p)).unwrap();
+        let rec_a = record(&a);
+        let header_a = rec_a.split_inclusive('\n').next().unwrap();
+        // A header whose payload never landed, a torn payload terminated
+        // by the next open, garbage over two lines, then an intact record.
+        let rec_b = record(&b);
+        let torn_b = &rec_b[..rec_b.len() - 5];
+        let text = format!("{header_a}{torn_b}\ngarbage\nmore garbage\n{rec_a}");
+        let entries = parse_journal(text.as_bytes());
+        assert!(matches!(entries[0], Entry::Torn(_)));
+        assert!(matches!(entries[1], Entry::Record { .. }));
+        assert!(matches!(entries[2], Entry::Garbage));
+        assert!(matches!(entries[3], Entry::Record { .. }));
+        assert_eq!(entries.len(), 4);
+        std::fs::create_dir_all(dir.join("ckpt")).unwrap();
+        std::fs::write(journal_path(&dir.join("ckpt")), &text).unwrap();
+        let scan = read_journal(&dir.join("ckpt"), 7);
+        assert!(scan.loaded.contains_key(&file_name(&a)), "newest record of a wins");
+        assert!(!scan.rejected.contains(&file_name(&a)));
+        assert!(scan.rejected.contains(&file_name(&b)), "torn payload fails its checksum");
+        assert_eq!(scan.unattributed, 1, "one garbage stretch");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

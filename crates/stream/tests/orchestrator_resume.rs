@@ -7,8 +7,8 @@
 //!
 //! 1. a seeded kill-point matrix on a ≥ 8-cell planet (the acceptance bar),
 //! 2. chaos schedules under the tolerant policy (fault counters and lost
-//!    mass must survive the round trip through the checkpoint files),
-//! 3. corrupted / truncated / stale checkpoint files — detected via
+//!    mass must survive the round trip through the checkpoint journal),
+//! 3. corrupted / truncated / torn / stale journal records — detected via
 //!    checksum, fingerprint and version checks, answered with a silent
 //!    re-scan, never a panic,
 //! 4. random `(seed, cells, kill_k, jobs)` triples via proptest.
@@ -16,7 +16,7 @@
 use pmkm_core::KMeansConfig;
 use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
-use pmkm_stream::{FaultPlan, FaultPolicy};
+use pmkm_stream::{journal_path, FaultPlan, FaultPolicy, CHECKPOINT_VERSION};
 use std::path::{Path, PathBuf};
 use std::sync::Once;
 
@@ -119,6 +119,18 @@ fn ckpt_dir(data_dir: &Path) -> PathBuf {
     data_dir.join("ckpt")
 }
 
+/// The journal's records (header line + payload line each), in file order.
+fn journal_records(cdir: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(journal_path(cdir)).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len() % 2, 0, "whole records only");
+    lines.chunks(2).map(|pair| format!("{}\n{}\n", pair[0], pair[1])).collect()
+}
+
+fn write_journal(cdir: &Path, records: &[String]) {
+    std::fs::write(journal_path(cdir), records.concat()).unwrap();
+}
+
 /// The acceptance bar: a 9-cell planet killed after k ∈ {1, 4, 8}
 /// checkpoints resumes to bit-identical results.
 #[test]
@@ -158,7 +170,7 @@ fn kill_and_resume_matches_uninterrupted_across_kill_matrix() {
 }
 
 /// Chaos + resume: fault counters and lost-mass accounting survive the
-/// round trip through the checkpoint files, and mass is conserved
+/// round trip through the checkpoint journal, and mass is conserved
 /// planet-wide (Σ received + Σ lost == Σ expected).
 #[test]
 fn chaos_run_resumes_with_identical_fault_accounting() {
@@ -237,7 +249,7 @@ fn resumed_cells_roll_into_mass_conservation_gauges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Corrupted, truncated and garbage checkpoint files are caught by the
+/// Corrupted, truncated and garbage journal records are caught by the
 /// checksum and answered with a re-scan — never a panic, and the final
 /// results are still bit-identical.
 #[test]
@@ -248,24 +260,21 @@ fn corrupted_checkpoints_fall_back_to_rescan() {
     let full = orchestrate(&plan, &OrchestratorOptions::new(2).with_checkpoints(&cdir), None, None)
         .unwrap();
     assert_eq!(full.checkpoints_written, 8);
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&cdir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), 8);
-    // Flip a payload byte in one…
-    let text = std::fs::read_to_string(&files[0]).unwrap();
-    let mut bytes = text.into_bytes();
+    // One journal, no per-cell files.
+    assert_eq!(std::fs::read_dir(&cdir).unwrap().count(), 1);
+    let mut records = journal_records(&cdir);
+    assert_eq!(records.len(), 8);
+    // Flip a payload byte in a middle record…
+    let mut bytes = records[3].clone().into_bytes();
     let last = bytes.len() - 3;
     bytes[last] ^= 0x01;
-    std::fs::write(&files[0], &bytes).unwrap();
+    records[3] = String::from_utf8(bytes).unwrap();
     // …truncate another mid-payload…
-    let text = std::fs::read_to_string(&files[1]).unwrap();
-    std::fs::write(&files[1], &text[..text.len() / 2]).unwrap();
+    let (header, payload) = records[1].split_once('\n').unwrap();
+    records[1] = format!("{header}\n{}\n", &payload[..payload.len() / 2]);
     // …and replace a third with garbage.
-    std::fs::write(&files[2], b"not json at all\n").unwrap();
+    records[5] = "not json at all\n".to_string();
+    write_journal(&cdir, &records);
 
     let resumed = orchestrate(
         &plan,
@@ -278,6 +287,48 @@ fn corrupted_checkpoints_fall_back_to_rescan() {
     assert_eq!(resumed.cells_resumed, 5);
     assert_eq!(resumed.cells_executed, 3);
     assert_bit_identical(&baseline, &resumed);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash mid-append leaves the journal's last record torn: the intact
+/// records resume, only the torn cell re-runs, and the next clean run's
+/// garbage collection drops the torn bytes.
+#[test]
+fn torn_final_record_reruns_only_its_cell() {
+    let (dir, plan) = planet("torn", 8, 19, 7);
+    let baseline = orchestrate(&plan, &OrchestratorOptions::new(2), None, None).unwrap();
+    let cdir = ckpt_dir(&dir);
+    let full = orchestrate(&plan, &OrchestratorOptions::new(2).with_checkpoints(&cdir), None, None)
+        .unwrap();
+    assert_eq!(full.checkpoints_written, 8);
+    let mut bytes = std::fs::read(journal_path(&cdir)).unwrap();
+    bytes.truncate(bytes.len() - 5);
+    std::fs::write(journal_path(&cdir), &bytes).unwrap();
+
+    let resumed = orchestrate(
+        &plan,
+        &OrchestratorOptions::new(2).with_checkpoints(&cdir).resuming(),
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(resumed.checkpoints_invalid, 1);
+    assert_eq!(resumed.cells_resumed, 7);
+    assert_eq!(resumed.cells_executed, 1);
+    assert_eq!(resumed.checkpoints_written, 1);
+    assert_eq!(resumed.checkpoints_pruned, 1, "the torn record");
+    assert_bit_identical(&baseline, &resumed);
+    assert_eq!(journal_records(&cdir).len(), 8);
+    let again = orchestrate(
+        &plan,
+        &OrchestratorOptions::new(2).with_checkpoints(&cdir).resuming(),
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(again.cells_resumed, 8);
+    assert_eq!(again.checkpoints_invalid, 0);
+    assert_bit_identical(&baseline, &again);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -304,20 +355,19 @@ fn stale_fingerprint_or_newer_version_forces_rescan() {
     .unwrap();
     assert_eq!(resumed.cells_resumed, 0);
     assert_eq!(resumed.checkpoints_invalid, 4);
+    assert_eq!(resumed.checkpoints_pruned, 4, "the foreign records");
     assert_bit_identical(&other_baseline, &resumed);
 
-    // A file claiming a future format version is rejected too. (The resume
-    // above rewrote checkpoints for `other`; doctor one to version 99.)
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&cdir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
-        .collect();
-    files.sort();
-    let text = std::fs::read_to_string(&files[0]).unwrap();
-    let doctored = text.replacen("\"checkpoint\":1", "\"checkpoint\":99", 1);
-    assert_ne!(text, doctored);
-    std::fs::write(&files[0], doctored).unwrap();
+    // A record claiming a future format version is rejected too. (The
+    // resume above compacted the journal down to `other`'s records; doctor
+    // one to version 99.)
+    let mut records = journal_records(&cdir);
+    assert_eq!(records.len(), 4);
+    let current = format!("\"checkpoint\":{CHECKPOINT_VERSION}");
+    let doctored = records[0].replacen(&current, "\"checkpoint\":99", 1);
+    assert_ne!(records[0], doctored);
+    records[0] = doctored;
+    write_journal(&cdir, &records);
     let resumed2 = orchestrate(
         &other,
         &OrchestratorOptions::new(2).with_checkpoints(&cdir).resuming(),
