@@ -1,7 +1,8 @@
 //! Property tests for the baseline algorithms' invariants.
 
 use pmkm_baselines::{
-    birch, method_b, method_c, stream_lsearch, BirchConfig, ClusteringFeature, StreamLsConfig,
+    birch, method_a, method_b, method_c, stream_lsearch, BirchConfig, ClusteringFeature,
+    StreamLsConfig,
 };
 use pmkm_core::{kmeans, Dataset, KMeansConfig, PointSource};
 use proptest::prelude::*;
@@ -58,13 +59,54 @@ proptest! {
     }
 
     #[test]
-    fn method_b_always_equals_serial(ds in arb_dataset(6), seed in any::<u64>()) {
+    fn method_a_always_equals_serial(
+        cells in proptest::collection::vec(arb_dataset(6), 4..7),
+        seed in any::<u64>(),
+        workers in 1usize..4,
+    ) {
+        // More cells than threads, so every thread takes several cells.
+        let cfg = KMeansConfig { restarts: 2, ..KMeansConfig::paper(3, seed) };
+        let parallel = method_a(&cells, &cfg, workers).unwrap();
+        prop_assert_eq!(parallel.cells.len(), cells.len());
+        for (i, cell) in cells.iter().enumerate() {
+            let cell_cfg =
+                KMeansConfig { seed: pmkm_core::seeding::derive_seed(seed, i as u64), ..cfg };
+            let serial = kmeans(cell, &cell_cfg).unwrap();
+            prop_assert_eq!(&parallel.cells[i].best.centroids, &serial.best.centroids);
+            prop_assert_eq!(parallel.cells[i].best_restart, serial.best_restart);
+        }
+    }
+
+    #[test]
+    fn method_b_always_equals_serial(
+        ds in arb_dataset(6),
+        seed in any::<u64>(),
+        workers in 1usize..4,
+    ) {
         let k = 3.min(ds.len());
         let cfg = KMeansConfig { restarts: 3, ..KMeansConfig::paper(k, seed) };
         let serial = kmeans(&ds, &cfg).unwrap();
-        let parallel = method_b(&ds, &cfg, 2).unwrap();
+        let parallel = method_b(&ds, &cfg, workers).unwrap();
         prop_assert_eq!(parallel.best.centroids, serial.best.centroids);
         prop_assert_eq!(parallel.best_restart, serial.best_restart);
+    }
+
+    #[test]
+    fn method_c_threaded_runs_repeat_and_count_messages(
+        ds in arb_dataset(6),
+        seed in any::<u64>(),
+    ) {
+        let k = 2.min(ds.len());
+        let cfg = KMeansConfig { restarts: 1, ..KMeansConfig::paper(k, seed) };
+        for slaves in [2, 3] {
+            let a = method_c(&ds, &cfg, slaves).unwrap();
+            let b = method_c(&ds, &cfg, slaves).unwrap();
+            prop_assert_eq!(&a.centroids, &b.centroids);
+            prop_assert_eq!(a.iterations, b.iterations);
+            // One broadcast and one reply per slave in each round: the
+            // initial assignment plus one round per iteration.
+            prop_assert_eq!(a.messages, 2 * slaves * (a.iterations + 1));
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn bench_lloyd_kernels(c: &mut Criterion) {
     let init = seed_centroids(&cell, K, SeedMode::RandomPoints, &mut rng_for(7, 0)).unwrap();
     group.throughput(Throughput::Elements(n as u64));
     for kernel in [KernelKind::Scalar, KernelKind::Fused] {
-        let cfg = LloydConfig { max_iters: 5, epsilon: 0.0, kernel, ..LloydConfig::default() };
+        let cfg = LloydConfig { max_iters: 5, epsilon: 0.0, kernel };
         group.bench_with_input(
             BenchmarkId::new(format!("{}_5iters_k40", kernel.label()), n),
             &cell,

@@ -3,8 +3,7 @@
 //! builds G on-disk buckets and measures end-to-end throughput of
 //!
 //! * a serial loop (load cell, best-of-R k-means, next cell),
-//! * the stream engine with static cloning,
-//! * the stream engine with adaptive cloning,
+//! * the stream engine with one partial clone per core,
 //!
 //! reporting cells/second and points/second.
 //!
@@ -68,7 +67,7 @@ fn main() {
     }
     push("serial loop", t.elapsed().as_secs_f64());
 
-    // Stream engine, static plan.
+    // Stream engine, one partial clone per core.
     let workers = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     let plan = optimize_fixed_split(
         LogicalPlan::new(paths.clone(), kcfg),
@@ -76,18 +75,9 @@ fn main() {
         n.div_ceil(10),
     );
     let t = Instant::now();
-    let report = execute(&plan).expect("engine");
+    let report = execute(&plan, None, None).expect("engine");
     assert_eq!(report.cells.len(), cells);
-    push("stream engine (static)", t.elapsed().as_secs_f64());
-
-    // Stream engine, adaptive cloning.
-    let t = Instant::now();
-    let adaptive = pmkm_stream::execute_adaptive(&plan).expect("adaptive");
-    assert_eq!(adaptive.report.cells.len(), cells);
-    push(
-        &format!("stream engine (adaptive, {} clones)", adaptive.clones_started),
-        t.elapsed().as_secs_f64(),
-    );
+    push(&format!("stream engine ({} clones)", plan.partial_clones), t.elapsed().as_secs_f64());
 
     std::fs::remove_dir_all(&dir).ok();
 

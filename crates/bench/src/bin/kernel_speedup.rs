@@ -144,8 +144,7 @@ fn main() {
         if n == 10_000 {
             let mut scalar_lloyd = 0.0;
             for kernel in [KernelKind::Scalar, KernelKind::Fused] {
-                let cfg =
-                    LloydConfig { max_iters: 5, epsilon: 0.0, kernel, ..LloydConfig::default() };
+                let cfg = LloydConfig { max_iters: 5, epsilon: 0.0, kernel };
                 let mut iters = 0;
                 let ms = time_ms(|| {
                     let run = lloyd::lloyd(&cell, &init, &cfg).unwrap();

@@ -3,6 +3,11 @@
 //! per processor; Method C: distributed k-means with message passing),
 //! with Method C's communication overhead made explicit.
 //!
+//! Every worker runs on its own OS thread. Methods A and B must return the
+//! same bits for every worker count: the harness checks Method A's per-cell
+//! centroids and Method B's best centroids against the 1-worker run and
+//! exits 1 on any difference.
+//!
 //! Usage: `… --bin methods_abc [--sizes=N] [--k=K] [--restarts=R]`
 //! (the first entry of `--sizes` is the per-cell size; default 10,000).
 
@@ -34,13 +39,20 @@ fn main() {
     let mut rows: Vec<MethodRow> = Vec::new();
     let workers = [1usize, 2, 4];
 
+    let mut mismatches = Vec::new();
+
     // Method A: G cells fanned over processors.
     let mut base = 0.0;
+    let mut reference = Vec::new();
     for &w in &workers {
         let out = method_a(&cells, &kcfg, w).expect("method A");
         let t = out.elapsed.as_secs_f64() * 1e3;
+        let centroids: Vec<_> = out.cells.iter().map(|c| c.best.centroids.clone()).collect();
         if w == 1 {
             base = t;
+            reference = centroids;
+        } else if centroids != reference {
+            mismatches.push(format!("Method A with {w} workers"));
         }
         let mse = out.cells.iter().map(|c| c.best.mse).sum::<f64>() / out.cells.len() as f64;
         rows.push(MethodRow {
@@ -55,11 +67,15 @@ fn main() {
 
     // Method B: restarts of one cell fanned over processors.
     let mut base = 0.0;
+    let mut reference = None;
     for &w in &workers {
         let out = method_b(&cells[0], &kcfg, w).expect("method B");
         let t = out.elapsed.as_secs_f64() * 1e3;
         if w == 1 {
             base = t;
+            reference = Some(out.best.centroids.clone());
+        } else if reference.as_ref() != Some(&out.best.centroids) {
+            mismatches.push(format!("Method B with {w} workers"));
         }
         rows.push(MethodRow {
             method: "B (restart/proc)".into(),
@@ -110,4 +126,10 @@ fn main() {
         &printable,
     );
     write_json("methods_abc", &rows).expect("write JSON");
+
+    if !mismatches.is_empty() {
+        eprintln!("FAIL: results differ from the 1-worker run: {}", mismatches.join(", "));
+        std::process::exit(1);
+    }
+    println!("[parity] Methods A and B are bit-identical across workers {workers:?}");
 }

@@ -2,10 +2,9 @@
 //! pipeline (PR 3 acceptance artifact).
 //!
 //! Runs the fig. 6-style workload (one MISR-like 6-D cell, k = 40) through
-//! every {serial, N-clone} × {scalar, fused}
-//! configuration of the in-process `partial_merge` path, plus the full
-//! stream engine (`execute_observed` over an on-disk bucket, scalar and
-//! fused kernels), the multi-cell orchestrator (8 cells, 1 vs 4
+//! the serial in-process `partial_merge` reference path (scalar and fused
+//! kernels), the full stream engine (`execute` over an on-disk bucket,
+//! scalar and fused kernels), the multi-cell orchestrator (8 cells, 1 vs 4
 //! work-stealing workers), and scan-only storage rows (GB01 buffered vs
 //! the GB02 block container across every backend × codec, with a smoke
 //! gate asserting the mmap zero-copy scan beats the buffered reader),
@@ -35,12 +34,12 @@
 
 use pmkm_bench::report::print_table;
 use pmkm_core::{
-    partial_merge, partial_merge_observed, partial_merge_with_workers, Dataset, KMeansConfig,
-    KernelKind, PartialMergeConfig, PartitionSpec,
+    partial_merge, partial_merge_observed, Dataset, KMeansConfig, KernelKind, PartialMergeConfig,
+    PartitionSpec,
 };
 use pmkm_data::{CellConfig, GridBucket, GridCell};
 use pmkm_obs::{PhaseReport, Profiler, Recorder, Timeline};
-use pmkm_stream::{execute, execute_observed, optimize_fixed_split, LogicalPlan, Resources};
+use pmkm_stream::{execute, optimize_fixed_split, LogicalPlan, Resources};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,7 +66,7 @@ struct Params {
 
 #[derive(Serialize, Deserialize, Debug, Clone)]
 struct Row {
-    /// `workers/kernel`, e.g. `serial/scalar` or `clones4/fused`.
+    /// `family/kernel`, e.g. `serial/scalar` or `stream4/fused`.
     config: String,
     workers: usize,
     kernel: String,
@@ -171,7 +170,9 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-fn bench_config(cell: &Dataset, params: &Params, workers: usize, kernel: KernelKind) -> Row {
+/// Benchmarks the serial in-process pipeline (`partial_merge`), the
+/// reference oracle the stream-engine rows are compared against.
+fn bench_serial(cell: &Dataset, params: &Params, kernel: KernelKind) -> Row {
     let mut cfg = PartialMergeConfig {
         kmeans: KMeansConfig {
             restarts: params.restarts,
@@ -182,32 +183,29 @@ fn bench_config(cell: &Dataset, params: &Params, workers: usize, kernel: KernelK
     };
     cfg.kmeans.lloyd.kernel = kernel;
 
-    let run = || {
-        if workers == 0 {
-            partial_merge(cell, &cfg)
-        } else {
-            partial_merge_with_workers(cell, &cfg, workers)
-        }
-        .expect("pipeline run")
-    };
+    let run = || partial_merge(cell, &cfg).expect("pipeline run");
     // One untimed warmup, then `reps` INTERLEAVED unprofiled/profiled
     // pairs, each arm reporting its median (see the module doc). Each
     // profiled rep gets a fresh recorder so the reported phases are
     // per-run, not a sum over reps; the last rep's breakdown is kept.
+    // The per-phase times are medians of the same timed reps as the total.
     let res = run();
     let mut samples = Vec::with_capacity(params.reps);
+    let mut partial_samples = Vec::with_capacity(params.reps);
+    let mut merge_samples = Vec::with_capacity(params.reps);
     let mut profiled_samples = Vec::with_capacity(params.reps);
     let mut last = None;
     for _ in 0..params.reps {
         let t = Instant::now();
-        run();
+        let timed = run();
         samples.push(t.elapsed().as_secs_f64() * 1e3);
+        partial_samples.push(timed.partial_elapsed.as_secs_f64() * 1e3);
+        merge_samples.push(timed.merge.elapsed.as_secs_f64() * 1e3);
 
         let rec = Recorder::new().with_profiler(Arc::new(Profiler::new()));
         let t = Instant::now();
         let (p, _report) =
-            partial_merge_observed(cell, &cfg, (workers > 0).then_some(workers), Some(&rec))
-                .expect("profiled pipeline run");
+            partial_merge_observed(cell, &cfg, Some(&rec)).expect("profiled pipeline run");
         profiled_samples.push(t.elapsed().as_secs_f64() * 1e3);
         last = Some((p, rec));
     }
@@ -216,17 +214,16 @@ fn bench_config(cell: &Dataset, params: &Params, workers: usize, kernel: KernelK
     let (profiled, rec) = last.expect("reps >= 1");
     assert_eq!(
         profiled.merge.centroids, res.merge.centroids,
-        "profiling must not change results ({workers} workers, {kernel:?})"
+        "profiling must not change results ({kernel:?})"
     );
 
-    let label = if workers == 0 { "serial".to_string() } else { format!("clones{workers}") };
     Row {
-        config: format!("{label}/{}", kernel.label()),
-        workers,
+        config: format!("serial/{}", kernel.label()),
+        workers: 0,
         kernel: kernel.label().to_string(),
         total_ms,
-        partial_ms: res.partial_elapsed.as_secs_f64() * 1e3,
-        merge_ms: res.merge.elapsed.as_secs_f64() * 1e3,
+        partial_ms: median(partial_samples),
+        merge_ms: median(merge_samples),
         points_per_sec: params.n as f64 / (total_ms / 1e3),
         epm: res.merge.epm,
         profiler_overhead_pct: (profiled_ms - total_ms) / total_ms * 100.0,
@@ -235,7 +232,7 @@ fn bench_config(cell: &Dataset, params: &Params, workers: usize, kernel: KernelK
 }
 
 /// Benchmarks the full stream engine — scan from an on-disk bucket through
-/// chunker, cloned partial workers, and merge — via `execute_observed`.
+/// chunker, cloned partial workers, and merge — via `execute`.
 /// Chunk boundaries differ from `partial_merge`'s partitioning, so these
 /// rows carry their own `E_pm` and are excluded from the cross-config
 /// equality check.
@@ -268,7 +265,7 @@ fn bench_stream(
     // median per arm (see the module doc). Fresh recorder per profiled rep
     // (per-run phases); only the last rep journals to the ledger, so the
     // JSONL stays a single-run record.
-    let report = execute(&plan).expect("stream engine warmup");
+    let report = execute(&plan, None, None).expect("stream engine warmup");
     assert_eq!(report.cells.len(), 1, "one bucket in, one clustering out");
     assert!(!report.degraded, "fault-free bench run must not be degraded");
     let mut samples = Vec::with_capacity(params.reps);
@@ -276,7 +273,7 @@ fn bench_stream(
     let mut last = None;
     for rep in 0..params.reps {
         let t = Instant::now();
-        execute(&plan).expect("stream engine run");
+        execute(&plan, None, None).expect("stream engine run");
         samples.push(t.elapsed().as_secs_f64() * 1e3);
 
         let mut rec = Recorder::new().with_profiler(Arc::new(Profiler::new()));
@@ -287,7 +284,7 @@ fn bench_stream(
         }
         let rec = Arc::new(rec);
         let t = Instant::now();
-        let obs = execute_observed(&plan, Some(Arc::clone(&rec))).expect("observed engine run");
+        let obs = execute(&plan, Some(Arc::clone(&rec)), None).expect("observed engine run");
         profiled_samples.push(t.elapsed().as_secs_f64() * 1e3);
         last = Some((obs, rec));
     }
@@ -594,20 +591,16 @@ fn main() {
     let cell = pmkm_data::generator::generate_cell(&CellConfig::paper(n, SEED))
         .expect("fig6 cell generator");
 
-    let mut rows = Vec::new();
-    for workers in [0, CLONES] {
-        for kernel in [KernelKind::Scalar, KernelKind::Fused] {
-            rows.push(bench_config(&cell, &params, workers, kernel));
-        }
-    }
-    // Clone count must never change results (per-chunk seeds). Stream-engine
-    // rows chunk the cell differently and are checked separately below.
-    for kernel in ["scalar", "fused"] {
-        let epms: Vec<f64> = rows.iter().filter(|r| r.kernel == kernel).map(|r| r.epm).collect();
-        assert!(epms.windows(2).all(|w| w[0] == w[1]), "E_pm varies with clones: {epms:?}");
-    }
+    let mut rows: Vec<Row> = [KernelKind::Scalar, KernelKind::Fused]
+        .into_iter()
+        .map(|kernel| bench_serial(&cell, &params, kernel))
+        .collect();
+    // Every kernel is exact, so the kernel must never change results.
+    // Stream-engine rows chunk the cell differently and are checked
+    // separately below.
+    assert_eq!(rows[0].epm, rows[1].epm, "E_pm varies with the kernel");
 
-    // The full stream engine over an on-disk bucket (execute/execute_observed).
+    // The full stream engine over an on-disk bucket.
     // The profiled fused run journals to --ledger when asked, so a bench run
     // leaves behind a diffable record (`pmkm diff old.jsonl new.jsonl`).
     for kernel in [KernelKind::Scalar, KernelKind::Fused] {

@@ -1,17 +1,13 @@
 //! Regenerates the §5.2 speed-up experiment: partial k-means operators
-//! cloned across "machines" (worker threads), for one large cell.
-//!
-//! Two execution substrates are measured:
-//! * the in-memory worker pool (`partial_merge_with_workers`),
-//! * the full stream engine (scan → chunker → cloned partials → merge)
-//!   over an on-disk grid bucket.
+//! cloned across "machines" (worker threads), for one large cell, through
+//! the full stream engine (scan → chunker → cloned partials → merge) over
+//! an on-disk grid bucket.
 //!
 //! Usage: `… --bin speedup [--full] [--sizes=N] [--restarts=R] [--seed=S]`
 //! (the first entry of `--sizes` is the cell size; default 50,000).
 
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{ms, print_table, write_json};
-use pmkm_core::{partial_merge_with_workers, MergeMode, PartialMergeConfig, PartitionSpec};
 use pmkm_data::{GridBucket, GridCell};
 use pmkm_stream::prelude::*;
 use serde::Serialize;
@@ -19,8 +15,6 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct SpeedupRow {
     workers: usize,
-    pool_ms: f64,
-    pool_speedup: f64,
     engine_ms: f64,
     engine_speedup: f64,
 }
@@ -36,13 +30,6 @@ fn main() {
 
     let cell = cfg.cell(n, 0);
     let kcfg = cfg.kmeans_for(n, 0);
-    let pm = PartialMergeConfig {
-        kmeans: kcfg,
-        partitions: PartitionSpec::Count(splits),
-        merge_mode: MergeMode::Collective,
-        merge_restarts: 1,
-        slicing: pmkm_core::SliceStrategy::RandomOverlap,
-    };
 
     // On-disk bucket for the engine runs.
     let dir = std::env::temp_dir().join(format!("pmkm_speedup_{}", std::process::id()));
@@ -56,29 +43,18 @@ fn main() {
 
     let worker_counts = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
-    let mut base_pool = 0.0;
     let mut base_engine = 0.0;
     for &w in &worker_counts {
-        let res = partial_merge_with_workers(&cell, &pm, w).expect("pool run");
-        let pool_ms = res.total_elapsed.as_secs_f64() * 1e3;
-
         let logical = LogicalPlan::new(vec![bucket_path.clone()], kcfg);
         let plan = optimize_fixed_split(logical, &Resources::fixed(64 << 20, w), points_per_chunk);
-        let report = execute(&plan).expect("engine run");
+        let report = execute(&plan, None, None).expect("engine run");
         let engine_ms = report.elapsed.as_secs_f64() * 1e3;
 
         if w == 1 {
-            base_pool = pool_ms;
             base_engine = engine_ms;
         }
-        rows.push(SpeedupRow {
-            workers: w,
-            pool_ms,
-            pool_speedup: base_pool / pool_ms,
-            engine_ms,
-            engine_speedup: base_engine / engine_ms,
-        });
-        eprintln!("[speedup] workers={w} pool={pool_ms:.0}ms engine={engine_ms:.0}ms");
+        rows.push(SpeedupRow { workers: w, engine_ms, engine_speedup: base_engine / engine_ms });
+        eprintln!("[speedup] workers={w} engine={engine_ms:.0}ms");
     }
 
     // One extra observed run at the widest clone count, outside the timed
@@ -91,25 +67,17 @@ fn main() {
         points_per_chunk,
     );
     let rec = std::sync::Arc::new(pmkm_obs::Recorder::new());
-    let observed = pmkm_stream::execute_observed(&plan, Some(rec.clone())).expect("observed run");
+    let observed = pmkm_stream::execute(&plan, Some(rec.clone()), None).expect("observed run");
     write_json("speedup_run_report", &observed.run_report(Some(&rec))).expect("write run report");
     std::fs::remove_dir_all(&dir).ok();
 
     let printable: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                ms(r.pool_ms),
-                format!("{:.2}x", r.pool_speedup),
-                ms(r.engine_ms),
-                format!("{:.2}x", r.engine_speedup),
-            ]
-        })
+        .map(|r| vec![r.workers.to_string(), ms(r.engine_ms), format!("{:.2}x", r.engine_speedup)])
         .collect();
     print_table(
         &format!("§5.2 speed-up — N = {n}, {splits} chunks, partial operator cloned"),
-        &["workers", "pool time", "pool speedup", "engine time", "engine speedup"],
+        &["workers", "engine time", "engine speedup"],
         &printable,
     );
     write_json("speedup", &rows).expect("write JSON");

@@ -14,12 +14,6 @@ fn main() {
     let mut stdout = std::io::stdout();
     if let Err(e) = pmkm_cli::dispatch(&command, &args, &mut stdout) {
         eprintln!("pmkm {command}: {e}");
-        // Exit 3 for detected regressions so CI gates can tell "B is
-        // slower" (3) apart from "the diff itself failed" (1).
-        let code = match e {
-            pmkm_cli::CliError::Regression(_) => 3,
-            _ => 1,
-        };
-        std::process::exit(code);
+        std::process::exit(e.exit_code());
     }
 }

@@ -69,17 +69,6 @@ pub struct LloydConfig {
     pub epsilon: f64,
     /// Hard iteration cap (safety valve; `converged == false` when hit).
     pub max_iters: usize,
-    /// Historical flag that ran the assignment step through a rayon
-    /// branch. Now a no-op: that branch ran sequentially and swapped the
-    /// fused kernel for the scalar scan, and parallelism lives in the
-    /// stream engine (one cloned operator per chunk, as in the paper).
-    /// Kept only so persisted configs keep loading.
-    pub parallel_assign: bool,
-    /// Historical flag that selected the (since removed) pruned scalar
-    /// scan. Now a no-op: every kernel is exact, so configs that set it
-    /// still deserialize and produce bit-identical results through the
-    /// fused kernel. Kept only so persisted configs keep loading.
-    pub pruned_assign: bool,
     /// Assignment-step strategy. [`KernelKind::Auto`] (the default)
     /// resolves to the fused SoA kernel — bit-identical results, just
     /// faster.
@@ -88,13 +77,7 @@ pub struct LloydConfig {
 
 impl Default for LloydConfig {
     fn default() -> Self {
-        Self {
-            epsilon: PAPER_EPSILON,
-            max_iters: DEFAULT_MAX_ITERS,
-            parallel_assign: false,
-            pruned_assign: false,
-            kernel: KernelKind::Auto,
-        }
+        Self { epsilon: PAPER_EPSILON, max_iters: DEFAULT_MAX_ITERS, kernel: KernelKind::Auto }
     }
 }
 
@@ -111,9 +94,7 @@ impl LloydConfig {
     }
 
     /// The concrete strategy a run will use: resolves [`KernelKind::Auto`]
-    /// to the fused kernel; never returns `Auto`. (The legacy
-    /// `pruned_assign` flag is ignored — its kernel no longer exists, and
-    /// every kernel is exact anyway.)
+    /// to the fused kernel; never returns `Auto`.
     pub fn resolved_kernel(&self) -> KernelKind {
         match self.kernel {
             KernelKind::Auto => KernelKind::Fused,

@@ -605,11 +605,16 @@ mod tests {
         assert!(!run.converged);
     }
 
-    /// The legacy `parallel_assign` flag (whose rayon branch ran the
-    /// scalar search sequentially) is a pure no-op: configs that persist it
-    /// still load and still run the bounded fused kernel, bit for bit.
+    /// A config persisted with the removed `parallel_assign` flag still
+    /// loads (the derive skips unknown keys) as the default config, and its
+    /// fused assignment agrees with the scalar oracle bit for bit.
     #[test]
     fn parallel_and_serial_assignment_agree() {
+        let plain = serde_json::to_string(&LloydConfig::default()).unwrap();
+        let legacy = plain.replacen('{', r#"{"parallel_assign":true,"#, 1);
+        let loaded: LloydConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(loaded, LloydConfig::default());
+
         let mut ds = Dataset::new(3).unwrap();
         let mut rng = rng_for(11, 0);
         use rand::Rng;
@@ -617,25 +622,27 @@ mod tests {
             ds.push(&[rng.gen::<f64>() * 10.0, rng.gen::<f64>() * 10.0, rng.gen::<f64>()]).unwrap();
         }
         let init = seed_centroids(&ds, 8, SeedMode::RandomPoints, &mut rng_for(3, 0)).unwrap();
-        let serial = lloyd(&ds, &init, &LloydConfig::default()).unwrap();
-        let par =
-            lloyd(&ds, &init, &LloydConfig { parallel_assign: true, ..LloydConfig::default() })
-                .unwrap();
-        assert_eq!(serial.centroids, par.centroids);
-        assert_eq!(serial.assignments, par.assignments);
-        assert_eq!(serial.iterations, par.iterations);
-        assert_eq!(serial.mse_trajectory, par.mse_trajectory);
+        let fused = lloyd(&ds, &init, &loaded).unwrap();
         let scalar = LloydConfig { kernel: KernelKind::Scalar, ..LloydConfig::default() };
         let oracle = lloyd(&ds, &init, &scalar).unwrap();
-        assert_eq!(oracle.centroids, par.centroids);
-        assert_eq!(oracle.assignments, par.assignments);
+        assert_eq!(oracle.centroids, fused.centroids);
+        assert_eq!(oracle.assignments, fused.assignments);
+        assert_eq!(oracle.iterations, fused.iterations);
+        assert_eq!(oracle.mse_trajectory, fused.mse_trajectory);
     }
 
     /// The legacy `pruned_assign` flag (whose kernel was removed) is a
-    /// pure no-op: configs that persist it still load and still produce
-    /// bit-identical results through the fused kernel.
+    /// pure no-op: configs that persist it still load, as the default
+    /// config, and still produce bit-identical results through the fused
+    /// kernel.
     #[test]
     fn legacy_pruned_assign_flag_is_a_bit_identical_noop() {
+        let plain = serde_json::to_string(&LloydConfig::default()).unwrap();
+        let legacy = plain.replacen('{', r#"{"pruned_assign":true,"#, 1);
+        let loaded: LloydConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(loaded, LloydConfig::default());
+        assert_eq!(loaded.resolved_kernel(), KernelKind::Fused);
+
         let mut ds = Dataset::new(3).unwrap();
         let mut rng = rng_for(17, 0);
         use rand::Rng;
@@ -643,14 +650,12 @@ mod tests {
             ds.push(&[rng.gen::<f64>() * 50.0, rng.gen::<f64>() * 50.0, rng.gen::<f64>()]).unwrap();
         }
         let init = seed_centroids(&ds, 12, SeedMode::RandomPoints, &mut rng_for(5, 0)).unwrap();
-        let legacy = LloydConfig { pruned_assign: true, ..LloydConfig::default() };
-        assert_eq!(legacy.resolved_kernel(), KernelKind::Fused);
-        let plain = lloyd(&ds, &init, &LloydConfig::default()).unwrap();
-        let flagged = lloyd(&ds, &init, &legacy).unwrap();
-        assert_eq!(plain.centroids, flagged.centroids);
-        assert_eq!(plain.assignments, flagged.assignments);
-        assert_eq!(plain.iterations, flagged.iterations);
-        assert_eq!(plain.mse, flagged.mse);
+        let plain_run = lloyd(&ds, &init, &LloydConfig::default()).unwrap();
+        let flagged = lloyd(&ds, &init, &loaded).unwrap();
+        assert_eq!(plain_run.centroids, flagged.centroids);
+        assert_eq!(plain_run.assignments, flagged.assignments);
+        assert_eq!(plain_run.iterations, flagged.iterations);
+        assert_eq!(plain_run.mse, flagged.mse);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The full partial/merge pipeline over an in-memory grid cell.
 //!
 //! This is the library-level entry point (Figure 5 of the paper): deal the
-//! cell into chunks, run the partial k-means on every chunk — serially or on
-//! a worker pool — and merge the weighted centroids. The stream-operator
-//! version that adds queues, backpressure and operator cloning lives in the
-//! `pmkm-stream` crate; both produce identical clusterings for identical
-//! seeds, which the integration tests assert.
+//! cell into chunks, run the partial k-means on every chunk serially, and
+//! merge the weighted centroids. This serial pipeline is the reference
+//! oracle; the parallel version that adds queues, backpressure and operator
+//! cloning is the `pmkm-stream` engine, and both produce identical
+//! clusterings for identical seeds, which the integration tests assert.
 
 use crate::config::PartialMergeConfig;
 use crate::dataset::{Dataset, PointSource};
@@ -49,17 +49,15 @@ pub struct PartialMergeResult {
     pub chunks: Vec<ChunkStats>,
     /// Number of partitions used (`p`).
     pub partitions: usize,
-    /// Wall time of the partial phase — the paper's `t C0−Ci` column. When
-    /// chunks run serially this is the sum of chunk times; with a worker
-    /// pool it is the elapsed span of the whole phase.
+    /// Wall time of the partial phase — the paper's `t C0−Ci` column (the
+    /// chunks run serially, so this spans every chunk's clustering).
     pub partial_elapsed: Duration,
     /// End-to-end wall time (`overall t` minus data generation).
     pub total_elapsed: Duration,
 }
 
 impl PartialMergeResult {
-    /// Sum of per-chunk clustering times (machine-seconds of partial work,
-    /// independent of how many workers ran it).
+    /// Sum of per-chunk clustering times (machine-seconds of partial work).
     pub fn partial_cpu_time(&self) -> Duration {
         self.chunks.iter().map(|c| c.elapsed).sum()
     }
@@ -74,22 +72,20 @@ impl PartialMergeResult {
 /// paper's "even if all partial k-means steps are run serially on one
 /// machine" configuration used for Table 2.
 pub fn partial_merge(ds: &Dataset, cfg: &PartialMergeConfig) -> Result<PartialMergeResult> {
-    Ok(run(ds, cfg, None, None)?.0)
+    Ok(run(ds, cfg, None)?.0)
 }
 
 /// Runs the pipeline with full observability: chunk sizes, per-iteration
 /// MSE, restart outcomes and pruning rates flow into `rec` (when given),
 /// and the call returns a [`RunReport`] for the cell alongside the normal
-/// result. `workers = None` runs the partial steps serially, `Some(w)`
-/// fans them out exactly like [`partial_merge_with_workers`].
+/// result.
 pub fn partial_merge_observed(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
-    workers: Option<usize>,
     rec: Option<&Recorder>,
 ) -> Result<(PartialMergeResult, RunReport)> {
     let started = Instant::now();
-    let (res, trajectories) = run(ds, cfg, workers.map(|w| w.max(1)), rec)?;
+    let (res, trajectories) = run(ds, cfg, rec)?;
     if let Some(rec) = rec {
         rec.event(
             "merge.done",
@@ -141,19 +137,6 @@ pub fn partial_merge_observed(
     Ok((res, report))
 }
 
-/// Runs the pipeline with partial steps fanned out over `workers` threads
-/// (operator cloning, Option 1 of §3.4: "clone the partial k-means to as
-/// many machines as possible"). `workers == 1` matches [`partial_merge`]
-/// output exactly; seeds are per-chunk, so results are identical for any
-/// worker count.
-pub fn partial_merge_with_workers(
-    ds: &Dataset,
-    cfg: &PartialMergeConfig,
-    workers: usize,
-) -> Result<PartialMergeResult> {
-    Ok(run(ds, cfg, Some(workers.max(1)), None)?.0)
-}
-
 /// Runs the pipeline with the ECVQ partial step (§3.3 remarks): every chunk
 /// is quantized with entropy-constrained VQ under `ecvq_cfg` (per-chunk
 /// seeds derived like the k-means path), then the adaptive-size weighted
@@ -203,7 +186,6 @@ pub fn partial_merge_ecvq(
 fn run(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
-    workers: Option<usize>,
     rec: Option<&Recorder>,
 ) -> Result<(PartialMergeResult, Vec<Vec<f64>>)> {
     cfg.validate()?;
@@ -220,34 +202,11 @@ fn run(
     }
 
     let partial_started = Instant::now();
-    let outputs: Vec<(usize, crate::partial::PartialOutput)> = match workers {
-        None => {
-            let mut v = Vec::with_capacity(nonempty.len());
-            for &(i, chunk) in &nonempty {
-                let _phase = rec.and_then(|r| r.phase("partial"));
-                v.push((i, partial_kmeans_observed(chunk, &chunk_cfg(cfg, i), rec)?));
-            }
-            v
-        }
-        Some(w) => {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(w)
-                .build()
-                .map_err(|e| crate::error::Error::InvalidConfig(e.to_string()))?;
-            // `Recorder` is `Sync`: sinks and registry are internally
-            // locked, so the workers can share `rec` directly.
-            pool.install(|| {
-                nonempty
-                    .par_iter()
-                    .map(|&(i, chunk)| {
-                        let _phase = rec.and_then(|r| r.phase("partial"));
-                        Ok((i, partial_kmeans_observed(chunk, &chunk_cfg(cfg, i), rec)?))
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?
-        }
-    };
+    let mut outputs = Vec::with_capacity(nonempty.len());
+    for &(i, chunk) in &nonempty {
+        let _phase = rec.and_then(|r| r.phase("partial"));
+        outputs.push((i, partial_kmeans_observed(chunk, &chunk_cfg(cfg, i), rec)?));
+    }
     let partial_elapsed = partial_started.elapsed();
 
     let sets: Vec<crate::dataset::WeightedSet> =
@@ -332,23 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_worker_pool_agree_exactly() {
-        let ds = three_blob_cell(50);
-        let cfg = PartialMergeConfig::paper(3, 6, 99);
-        let serial = partial_merge(&ds, &cfg).unwrap();
-        for workers in [1, 2, 4] {
-            let par = partial_merge_with_workers(&ds, &cfg, workers).unwrap();
-            assert_eq!(serial.merge.centroids, par.merge.centroids, "workers={workers}");
-            assert_eq!(serial.merge.epm, par.merge.epm);
-            assert_eq!(serial.chunks.len(), par.chunks.len());
-            for (a, b) in serial.chunks.iter().zip(&par.chunks) {
-                assert_eq!(a.chunk, b.chunk);
-                assert_eq!(a.best_mse, b.best_mse);
-            }
-        }
-    }
-
-    #[test]
     fn memory_budget_partitioning_is_respected() {
         let ds = three_blob_cell(100); // 300 points × 2 dims × 8 B = 4800 B
         let mut cfg = PartialMergeConfig::paper(3, 1, 5);
@@ -415,7 +357,7 @@ mod tests {
         let cfg = PartialMergeConfig::paper(3, 5, 42);
         let plain = partial_merge(&ds, &cfg).unwrap();
         let rec = Recorder::new().with_profiler(Arc::new(Profiler::new()));
-        let (observed, report) = partial_merge_observed(&ds, &cfg, None, Some(&rec)).unwrap();
+        let (observed, report) = partial_merge_observed(&ds, &cfg, Some(&rec)).unwrap();
         // Profiling must never perturb results.
         assert_eq!(plain.merge.centroids, observed.merge.centroids);
         assert_eq!(plain.merge.epm, observed.merge.epm);

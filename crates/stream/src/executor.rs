@@ -138,23 +138,14 @@ pub fn cell_report(c: &CellClustering) -> CellReport {
 /// The dataflow is scan → chunker → `partial_clones` × partial k-means →
 /// merge, with the final results drained on the calling thread. Operator
 /// panics and errors abort the run and surface as [`EngineError`].
-pub fn execute(plan: &PhysicalPlan) -> Result<EngineReport> {
-    execute_observed(plan, None)
-}
-
-/// [`execute`] with an optional trace/metrics recorder attached to every
-/// operator instance. With `None` this is exactly `execute` — no events,
-/// no metrics, no extra work on the hot path.
-pub fn execute_observed(plan: &PhysicalPlan, rec: Option<Arc<Recorder>>) -> Result<EngineReport> {
-    execute_with_faults(plan, rec, None)
-}
-
-/// [`execute_observed`] with a deterministic fault-injection schedule — the
-/// entry point of the chaos suite. With `fault_plan: None` and the default
-/// [`crate::fault::FaultPolicy::strict`] policy this is exactly
-/// `execute_observed`: no injection, no validation passes, byte-identical
-/// results.
-pub fn execute_with_faults(
+///
+/// `rec` attaches a trace/metrics recorder to every operator instance; with
+/// `None` there are no events, no metrics and no extra work on the hot path.
+/// `fault_plan` is a deterministic fault-injection schedule (the chaos
+/// suite's entry point); with `None` and the default
+/// [`crate::fault::FaultPolicy::strict`] policy nothing is injected and no
+/// validation passes run.
+pub fn execute(
     plan: &PhysicalPlan,
     rec: Option<Arc<Recorder>>,
     fault_plan: Option<FaultPlan>,
@@ -162,7 +153,7 @@ pub fn execute_with_faults(
     execute_inner(plan, rec, fault_plan, true)
 }
 
-/// [`execute_with_faults`] without the run-level journal framing — the
+/// [`execute`] without the run-level journal framing — the
 /// orchestrator's per-cell hook. Cell-scoped events (`cell.open`,
 /// `cell.close`, `chunk.close`, faults) still flow to the recorder, but
 /// `run.open` / `run.close` / phase emission are left to the caller, which
@@ -387,7 +378,7 @@ mod tests {
         let logical =
             LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 11) });
         let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 3), 64);
-        let report = execute(&plan).unwrap();
+        let report = execute(&plan, None, None).unwrap();
         assert_eq!(report.cells.len(), 3);
         // Sorted by cell index; weights conserved per cell.
         let ns = [300.0, 150.0, 80.0];
@@ -419,8 +410,8 @@ mod tests {
                 50,
             )
         };
-        let one = execute(&mk_plan(1)).unwrap();
-        let four = execute(&mk_plan(4)).unwrap();
+        let one = execute(&mk_plan(1), None, None).unwrap();
+        let four = execute(&mk_plan(4), None, None).unwrap();
         assert_eq!(one.cells.len(), 1);
         assert_eq!(one.cells[0].output.centroids, four.cells[0].output.centroids);
         assert_eq!(one.cells[0].output.epm, four.cells[0].output.epm);
@@ -438,7 +429,7 @@ mod tests {
         let logical =
             LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) });
         let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 40);
-        let report = execute(&plan).unwrap();
+        let report = execute(&plan, None, None).unwrap();
         let engine_out = &report.cells[0].output;
         let total: f64 = engine_out.cluster_weights.iter().sum();
         assert_eq!(total, 200.0);
@@ -454,7 +445,7 @@ mod tests {
             LogicalPlan::new(paths, KMeansConfig { restarts: 1, ..KMeansConfig::paper(2, 5) });
         // dim-2 points are 16 B; 400 B budget → 25 points/chunk → 4 chunks.
         let plan = optimize(logical, &Resources::fixed(400, 2));
-        let report = execute(&plan).unwrap();
+        let report = execute(&plan, None, None).unwrap();
         assert_eq!(report.cells[0].chunks.len(), 4);
         for c in &report.cells[0].chunks {
             assert!(c.points <= 25);
@@ -482,8 +473,8 @@ mod tests {
             plan.scan_clones = scan_clones;
             plan
         };
-        let one = execute(&mk(1)).unwrap();
-        let three = execute(&mk(3)).unwrap();
+        let one = execute(&mk(1), None, None).unwrap();
+        let three = execute(&mk(3), None, None).unwrap();
         assert_eq!(one.cells.len(), 3);
         for (a, b) in one.cells.iter().zip(&three.cells) {
             assert_eq!(a.cell, b.cell);
@@ -502,7 +493,7 @@ mod tests {
             KMeansConfig::paper(2, 0),
         );
         let plan = optimize(logical, &Resources::fixed(1 << 20, 2));
-        assert!(matches!(execute(&plan), Err(EngineError::Data(_))));
+        assert!(matches!(execute(&plan, None, None), Err(EngineError::Data(_))));
     }
 
     #[test]
@@ -520,13 +511,13 @@ mod tests {
                 60,
             )
         };
-        let plain = execute(&mk_plan()).unwrap();
+        let plain = execute(&mk_plan(), None, None).unwrap();
 
         let ring = Arc::new(RingBufferSink::new(4096));
         let rec = Arc::new(
             Recorder::new().with_sink(ring.clone()).with_profiler(Arc::new(Profiler::new())),
         );
-        let observed = execute_observed(&mk_plan(), Some(rec.clone())).unwrap();
+        let observed = execute(&mk_plan(), Some(rec.clone()), None).unwrap();
 
         // Observation must not change the results.
         assert_eq!(plain.cells.len(), observed.cells.len());
@@ -593,14 +584,14 @@ mod tests {
         let chaos = Some(FaultPlan::heavy(77));
 
         // Bare chaos run: the determinism baseline.
-        let bare = execute_with_faults(&mk_plan(), None, chaos.clone()).unwrap();
+        let bare = execute(&mk_plan(), None, chaos.clone()).unwrap();
 
         // Ledger-enabled chaos run with the same seed.
         let ledger = Arc::new(LedgerSink::in_memory());
         let rec = Arc::new(
             Recorder::new().with_sink(ledger.clone()).with_profiler(Arc::new(Profiler::new())),
         );
-        let observed = execute_with_faults(&mk_plan(), Some(rec.clone()), chaos).unwrap();
+        let observed = execute(&mk_plan(), Some(rec.clone()), chaos).unwrap();
 
         // Attaching the ledger must not change the clustering.
         assert_eq!(bare.cells.len(), observed.cells.len());
@@ -663,7 +654,7 @@ mod tests {
             plan.coreset = Some(CoresetSpec::new(32));
             plan
         };
-        let report = execute(&mk_plan(3)).unwrap();
+        let report = execute(&mk_plan(3), None, None).unwrap();
         assert_eq!(report.cells.len(), 1);
         let c = &report.cells[0];
         let total: f64 = c.output.cluster_weights.iter().sum();
@@ -679,7 +670,7 @@ mod tests {
         assert!(stats.live_buckets as u32 <= 10usize.ilog2() + 1);
         assert_eq!(stats.ingested_points, 300.0);
         // Worker count must not change the clustering (ordered drain).
-        let four = execute(&mk_plan(4)).unwrap();
+        let four = execute(&mk_plan(4), None, None).unwrap();
         assert_eq!(c.output.centroids, four.cells[0].output.centroids);
         assert_eq!(c.output.mse, four.cells[0].output.mse);
         // The v7 report block aggregates the tree.
@@ -691,7 +682,7 @@ mod tests {
         // Classic runs keep the block absent.
         let mut classic = mk_plan(3);
         classic.coreset = None;
-        assert!(execute(&classic).unwrap().run_report(None).coreset.is_none());
+        assert!(execute(&classic, None, None).unwrap().run_report(None).coreset.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -704,7 +695,7 @@ mod tests {
             &Resources::fixed(1 << 20, 2),
             30,
         );
-        let report = execute(&plan).unwrap();
+        let report = execute(&plan, None, None).unwrap();
         assert!(report.partial_busy() > Duration::ZERO);
         assert!(report.elapsed >= report.merge_busy());
         std::fs::remove_dir_all(&dir).unwrap();

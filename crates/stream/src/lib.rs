@@ -33,7 +33,7 @@
 //!     KMeansConfig::paper(40, 42),
 //! );
 //! let plan = optimize(logical, &Resources::detect());
-//! let report = execute(&plan)?;
+//! let report = execute(&plan, None, None)?;
 //! for cell in &report.cells {
 //!     println!("cell {} → {} centroids, E_pm = {:.1}",
 //!         cell.cell.index(), cell.output.centroids.k(), cell.output.epm);
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod error;
 pub mod executor;
 pub mod fault;
@@ -58,11 +57,8 @@ pub mod resources;
 pub mod telemetry;
 pub mod watchdog;
 
-pub use adaptive::{execute_adaptive, execute_adaptive_observed, AdaptiveReport, ScalingEvent};
 pub use error::{EngineError, Result};
-pub use executor::{
-    coreset_report, execute, execute_cell, execute_observed, execute_with_faults, EngineReport,
-};
+pub use executor::{coreset_report, execute, execute_cell, EngineReport};
 pub use fault::{record_fault, FaultContext, FaultCounters, FaultPlan, FaultPolicy};
 pub use item::{CellClustering, ChunkMsg, MergeMsg, ScanMsg};
 pub use optimizer::{optimize, optimize_fixed_split};
@@ -78,7 +74,7 @@ pub use watchdog::{Watchdog, WatchdogConfig, WatchdogSink};
 
 /// Convenience prelude.
 pub mod prelude {
-    pub use crate::executor::{execute, execute_observed, execute_with_faults, EngineReport};
+    pub use crate::executor::{execute, EngineReport};
     pub use crate::fault::{FaultPlan, FaultPolicy};
     pub use crate::optimizer::{optimize, optimize_fixed_split};
     pub use crate::orchestrator::{orchestrate, OrchestratorOptions, PlanetReport};

@@ -1266,7 +1266,7 @@ mod tests {
             let mut one = plan.clone();
             one.logical.inputs = vec![paths[i].clone()];
             one.scan_clones = 1;
-            let solo = execute(&one).unwrap();
+            let solo = execute(&one, None, None).unwrap();
             let orch = outcome.clustering.as_ref().unwrap();
             assert_eq!(orch.output.centroids, solo.cells[0].output.centroids);
             assert_eq!(orch.output.epm.to_bits(), solo.cells[0].output.epm.to_bits());

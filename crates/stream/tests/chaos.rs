@@ -166,17 +166,17 @@ fn assert_mass_invariants(report: &EngineReport) {
 fn zero_fault_run_is_bit_identical_to_pre_pr_output() {
     let (dir, plan) = workload("pinned");
     // The historical entry point (strict policy, no fault plan)…
-    let clean = execute(&plan).unwrap();
+    let clean = execute(&plan, None, None).unwrap();
     assert_matches_pinned(&clean);
     assert!(!clean.faults.any());
     // …and the fault-layer entry point with an empty schedule.
-    let with_plan = execute_with_faults(&plan, None, Some(FaultPlan::none(7))).unwrap();
+    let with_plan = execute(&plan, None, Some(FaultPlan::none(7))).unwrap();
     assert_matches_pinned(&with_plan);
     assert!(!with_plan.faults.any());
     // A tolerant policy with nothing to tolerate also changes nothing.
     let mut tolerant_plan = plan;
     tolerant_plan.fault_policy = FaultPolicy::tolerant();
-    let tolerant = execute_with_faults(&tolerant_plan, None, None).unwrap();
+    let tolerant = execute(&tolerant_plan, None, None).unwrap();
     assert_matches_pinned(&tolerant);
     assert!(!tolerant.faults.any());
     std::fs::remove_dir_all(&dir).ok();
@@ -197,7 +197,7 @@ fn recoverable_faults_reproduce_the_fault_free_result() {
         panic_sticky_fraction: 0.0,
         ..FaultPlan::none(5)
     };
-    let report = execute_with_faults(&plan, None, Some(fault_plan)).unwrap();
+    let report = execute(&plan, None, Some(fault_plan)).unwrap();
     assert_matches_pinned(&report);
     assert!(report.faults.worker_panics >= 8, "got {:?}", report.faults);
     assert!(report.faults.scan_retries > 0);
@@ -213,7 +213,7 @@ fn chaos_matrix_conserves_surviving_mass() {
         let mut plan = plan;
         plan.fault_policy = FaultPolicy::tolerant();
         for fault_plan in [FaultPlan::light(seed), FaultPlan::heavy(seed)] {
-            let run = || execute_with_faults(&plan, None, Some(fault_plan.clone()));
+            let run = || execute(&plan, None, Some(fault_plan.clone()));
             match run() {
                 Ok(report) => {
                     assert_mass_invariants(&report);
@@ -341,7 +341,7 @@ fn gb02_backends_reproduce_pinned_bits_any_worker_count() {
                 let mut plan =
                     optimize_fixed_split(logical, &Resources::fixed(1 << 20, workers), 40);
                 plan.scan_backend = backend;
-                let report = execute(&plan).unwrap();
+                let report = execute(&plan, None, None).unwrap();
                 assert_matches_pinned(&report);
                 assert_mass_invariants(&report);
             }
@@ -379,7 +379,7 @@ fn gb02_sim_store_chaos_matrix_conserves_mass() {
         plan.fault_policy = FaultPolicy::tolerant();
         plan.scan_backend = BackendKind::SimObjectStore;
         for fault_plan in [FaultPlan::light(seed), FaultPlan::heavy(seed)] {
-            let run = || execute_with_faults(&plan, None, Some(fault_plan.clone()));
+            let run = || execute(&plan, None, Some(fault_plan.clone()));
             let report =
                 run().unwrap_or_else(|e| panic!("tolerant policy must survive seed {seed}: {e}"));
             assert_mass_invariants(&report);
@@ -409,7 +409,7 @@ fn strict_policy_fails_cleanly_instead_of_degrading() {
         // A clean `Err` is the contract; `Ok` is only possible if this
         // seed's schedule injected nothing fatal into this workload —
         // then the output must be pristine.
-        if let Ok(report) = execute_with_faults(&plan, None, Some(FaultPlan::heavy(seed))) {
+        if let Ok(report) = execute(&plan, None, Some(FaultPlan::heavy(seed))) {
             assert!(!report.degraded, "seed {seed}");
             assert_eq!(report.faults.chunks_quarantined, 0, "seed {seed}");
             assert_matches_pinned(&report);
@@ -427,7 +427,7 @@ fn degraded_run_report_round_trips_and_flags_loss() {
     // Sticky-panic every chunk of cell B's range? Simplest guaranteed loss:
     // poison every chunk; quarantine then drops each poisoned one.
     let fault_plan = FaultPlan { poison_rate: 1.0, ..FaultPlan::none(3) };
-    let report = execute_with_faults(&plan, None, Some(fault_plan)).unwrap();
+    let report = execute(&plan, None, Some(fault_plan)).unwrap();
     // Every chunk was poisoned and quarantined: no cells survive, the run
     // is degraded, and the counters say why.
     assert!(report.cells.is_empty());
@@ -461,7 +461,7 @@ fn partial_loss_marks_only_the_hit_cell_degraded() {
         let (dir, plan) = workload(&format!("partial_{seed}"));
         let mut plan = plan;
         plan.fault_policy = FaultPolicy::tolerant();
-        let report = execute_with_faults(&plan, None, Some(fault_plan)).unwrap();
+        let report = execute(&plan, None, Some(fault_plan)).unwrap();
         assert_mass_invariants(&report);
         assert!(report.degraded);
         let degraded: Vec<bool> = report.cells.iter().map(|c| c.degraded).collect();
@@ -492,7 +492,7 @@ fn coreset_chaos_matrix_conserves_mass_through_compaction() {
         plan.coreset = Some(pmkm_stream::CoresetSpec::new(12));
         plan.fault_policy = FaultPolicy::tolerant();
         for fault_plan in [FaultPlan::light(seed), FaultPlan::heavy(seed)] {
-            let run = || execute_with_faults(&plan, None, Some(fault_plan.clone()));
+            let run = || execute(&plan, None, Some(fault_plan.clone()));
             let report = run()
                 .unwrap_or_else(|e| panic!("tolerant coreset run must survive seed {seed}: {e}"));
             for c in &report.cells {
@@ -560,8 +560,8 @@ fn coreset_strict_policy_fails_cleanly_and_idle_fault_layer_costs_nothing() {
     plan.coreset = Some(pmkm_stream::CoresetSpec::new(12));
 
     // Idle fault layer: same bits as the plain path.
-    let clean = execute(&plan).unwrap();
-    let with_layer = execute_with_faults(&plan, None, Some(FaultPlan::none(7))).unwrap();
+    let clean = execute(&plan, None, None).unwrap();
+    let with_layer = execute(&plan, None, Some(FaultPlan::none(7))).unwrap();
     for c in &clean.cells {
         assert_eq!(
             centroid_bits(&clean, c.cell.index()),
@@ -574,11 +574,7 @@ fn coreset_strict_policy_fails_cleanly_and_idle_fault_layer_costs_nothing() {
 
     // Poison every chunk under the strict default: a clean error, never a
     // silently-degraded tree.
-    let err = execute_with_faults(
-        &plan,
-        None,
-        Some(FaultPlan { poison_rate: 1.0, ..FaultPlan::none(3) }),
-    );
+    let err = execute(&plan, None, Some(FaultPlan { poison_rate: 1.0, ..FaultPlan::none(3) }));
     assert!(err.is_err(), "strict policy must refuse lost coreset mass");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -616,7 +612,7 @@ mod properties {
             let (dir, plan) = workload(&format!("prop_{seed}"));
             let mut plan = plan;
             plan.fault_policy = FaultPolicy::tolerant();
-            let report = execute_with_faults(&plan, None, Some(fault_plan))
+            let report = execute(&plan, None, Some(fault_plan))
                 .expect("tolerant policy must survive any schedule");
             for c in &report.cells {
                 let received: f64 = c.output.cluster_weights.iter().sum();

@@ -215,7 +215,7 @@ fn one_and_four_worker_runs_are_bit_identical() {
         );
         let mut plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, workers), 25);
         plan.coreset = Some(CoresetSpec::new(16));
-        execute(&plan).unwrap()
+        execute(&plan, None, None).unwrap()
     };
     let one = run(1);
     let four = run(4);
@@ -251,7 +251,7 @@ fn anytime_query_after_the_last_chunk_is_the_final_clustering() {
         LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 41) });
     let mut plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 30);
     plan.coreset = Some(CoresetSpec { probe: Some(status.clone()), ..CoresetSpec::new(16) });
-    let report = execute(&plan).unwrap();
+    let report = execute(&plan, None, None).unwrap();
     let cell = &report.cells[0];
     let last = status.coreset().expect("the probe saw at least one anytime query");
     let final_bits: Vec<u64> =
@@ -266,7 +266,7 @@ fn anytime_query_after_the_last_chunk_is_the_final_clustering() {
     // the same bits.
     let mut bare = plan.clone();
     bare.coreset = Some(CoresetSpec::new(16));
-    let unprobed = execute(&bare).unwrap();
+    let unprobed = execute(&bare, None, None).unwrap();
     let bare_bits: Vec<u64> = unprobed.cells[0]
         .output
         .centroids

@@ -42,12 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mse = metrics::mse_against(&cell, &pm.merge.centroids)?;
     report("partial/merge (10-split)", t.elapsed().as_secs_f64() * 1e3, mse);
 
-    // Partial/merge with 4 workers (operator cloning).
-    let t = Instant::now();
-    let pm4 = pmkm_core::partial_merge_with_workers(&cell, &pm_cfg, 4)?;
-    let mse = metrics::mse_against(&cell, &pm4.merge.centroids)?;
-    report("partial/merge (4 workers)", t.elapsed().as_secs_f64() * 1e3, mse);
-
     // Method B: restarts in parallel.
     let t = Instant::now();
     let mb = method_b(&cell, &kcfg, 4)?;

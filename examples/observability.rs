@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         partitions: PartitionSpec::Count(5),
         ..PartialMergeConfig::paper(40, 5, 7)
     };
-    let (result, run_report) = partial_merge_observed(&points, &pm, Some(4), Some(&rec))?;
+    let (result, run_report) = partial_merge_observed(&points, &pm, Some(&rec))?;
     println!(
         "partial/merge: {} chunks -> {} centroids, MSE {:.1}",
         result.chunks.len(),
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LogicalPlan::new(paths, KMeansConfig { restarts: 3, ..KMeansConfig::paper(40, 11) });
     let resources = Resources { chunk_memory_bytes: 256 << 10, ..Resources::detect() };
     let plan = optimize(logical, &resources);
-    let report = execute_observed(&plan, Some(rec.clone()))?;
+    let report = execute(&plan, Some(rec.clone()), None)?;
     println!(
         "\nengine: {} cells in {:.0} ms, {} partial clones",
         report.cells.len(),

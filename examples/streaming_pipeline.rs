@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.partial_clones, plan.chunk_policy
     );
 
-    let report = execute(&plan)?;
+    let report = execute(&plan, None, None)?;
     println!("\nengine finished in {:.0} ms", report.elapsed.as_secs_f64() * 1e3);
     for cell in &report.cells {
         println!(

@@ -51,7 +51,7 @@ fn swath_to_engine_end_to_end() {
     let logical =
         LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(8, 5) });
     let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 64);
-    let report = execute(&plan).unwrap();
+    let report = execute(&plan, None, None).unwrap();
     assert_eq!(report.cells.len(), 5);
     let mut got: Vec<usize> = report
         .cells
@@ -87,7 +87,7 @@ fn engine_and_core_pipeline_agree_structurally() {
         &Resources::fixed(16 << 20, 2),
         n / 5,
     );
-    let engine = execute(&plan).unwrap();
+    let engine = execute(&plan, None, None).unwrap();
     let pm_cfg = PartialMergeConfig {
         kmeans: kcfg,
         partitions: PartitionSpec::Count(5),
@@ -234,15 +234,12 @@ fn engine_aborts_cleanly_on_corrupt_bucket() {
         500,
     );
     let started = std::time::Instant::now();
-    let err = pmkm_stream::execute(&plan);
+    let err = pmkm_stream::execute(&plan, None, None);
     assert!(err.is_err(), "corrupt bucket must fail the run");
     assert!(
         started.elapsed() < std::time::Duration::from_secs(30),
         "pipeline must not hang on corruption"
     );
-    // Adaptive execution handles the same failure identically.
-    let err2 = pmkm_stream::execute_adaptive(&plan);
-    assert!(err2.is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -257,7 +254,7 @@ fn engine_error_names_the_root_cause() {
         &Resources::fixed(1 << 20, 2),
         500,
     );
-    match pmkm_stream::execute(&plan) {
+    match pmkm_stream::execute(&plan, None, None) {
         Err(pmkm_stream::EngineError::Data(e)) => {
             assert!(
                 e.to_string().contains("magic") || e.to_string().contains("format"),
@@ -282,8 +279,7 @@ fn observed_partial_merge_reports_dataset_and_monotone_trajectories() {
         ..PartialMergeConfig::paper(8, 4, 5)
     };
     let rec = pmkm_obs::Recorder::new();
-    let (result, report) =
-        pmkm_core::partial_merge_observed(&points, &cfg, None, Some(&rec)).unwrap();
+    let (result, report) = pmkm_core::partial_merge_observed(&points, &cfg, Some(&rec)).unwrap();
 
     assert_eq!(report.total_points(), points.len());
     assert_eq!(report.cells.len(), 1);
@@ -334,7 +330,7 @@ fn observed_engine_run_report_round_trips_and_balances() {
         500,
     );
     let rec = std::sync::Arc::new(pmkm_obs::Recorder::new());
-    let engine = pmkm_stream::execute_observed(&plan, Some(rec.clone())).unwrap();
+    let engine = pmkm_stream::execute(&plan, Some(rec.clone()), None).unwrap();
     let report = engine.run_report(Some(&rec));
 
     assert_eq!(report.total_points(), n);
